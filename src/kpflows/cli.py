@@ -7,7 +7,8 @@ consumers never overflow.  Exit codes are the verdict channel:
     0  success / identity verified
     1  identity violated
     2  input error (bad flags, malformed JSON, missing files)
-    3  hypothesis or domain constraint not met (check skipped)
+    3  hypothesis or domain constraint not met (check skipped, or the
+       partial backend's literal aggregate is not the count)
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import random
 import sys
 from collections.abc import Sequence
 
-from .errors import HypothesisUnmet, KPFlowsError
+from .errors import HypothesisUnmet, KPFlowsError, NegativeExtension
 from .counting import brute_force_count, count, enumerate_flows
-from .graphs import GraphKind, SignedMultigraph, Theorem
+from .graphs import GraphKind, SignedMultigraph, Theorem, _is_int
 from .identities import generate_bv_family, report_json_dict, verify_identity_a, verify_identity_c
 from .partial_flows import count_via_partial, enumerate_partial_flows, materialize_fiber
 from .catalan import catalan_graph, catalan_netflow, catalan_product
@@ -114,9 +115,7 @@ def _load_graph(path: str) -> SignedMultigraph:
 
 
 def _netflow_entries(raw: object, source: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
         raise _InputError(f"{source}: netflow must be a JSON array of integers")
     return tuple(raw)
 
@@ -170,7 +169,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif args.backend == "brute":
         value = brute_force_count(graph, a)
     else:
-        value = count_via_partial(graph, a).total
+        value = count_via_partial(graph, a, require_full=True).total
     _emit(args, str(value))
     return 0
 
@@ -332,6 +331,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2
     except HypothesisUnmet as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
+        return 3
+    except NegativeExtension as exc:
+        print(f"outside the partial backend's domain: {exc}", file=sys.stderr)
         return 3
     except KPFlowsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,11 @@ G's edge copies.  Two independent algorithms are provided:
   enumeration.  Under the vertex weights ``w_i = n+2-i`` every root of either
   type has weight >= 1, so any flow b satisfies ``sum(b) <= w . a``; that
   linear functional bounds the search exactly.
-* :func:`count` — a memoized dynamic program over vertices in increasing
-  label order that never materializes flows.
+* :func:`count` — a bottom-up dynamic program over edge groups (vertices in
+  increasing label order, each vertex's out-groups in canonical order).  Its
+  frontier of residual states merges the partial assignments that agree on
+  everything later edges can see; it never materializes flows and has no
+  recursion.
 
 All arithmetic is exact (Python integers); counts grow super-exponentially
 and must not be truncated.
@@ -21,18 +24,20 @@ from collections.abc import Iterator, Sequence
 from math import comb
 
 from .errors import DimensionMismatch, LimitExceeded
-from .graphs import NEG, GraphKind, SignedMultigraph, root_of_edge
+from .graphs import NEG, GraphKind, SignedMultigraph, _is_int, root_of_edge
 
 FlowVector = tuple[int, ...]
 
 
 def _check_netflow(graph: SignedMultigraph, a: Sequence[int]) -> None:
+    """The package's one netflow validator: one integer per vertex, and a
+    boolean is not an integer here."""
     if len(a) != graph.n_plus_1:
         raise DimensionMismatch(
             f"netflow has length {len(a)}, graph has {graph.n_plus_1} vertices"
         )
     for x in a:
-        if not isinstance(x, int):
+        if not _is_int(x):
             raise DimensionMismatch(f"netflow entries must be integers, got {x!r}")
 
 
@@ -195,12 +200,17 @@ def enumerate_flows(
 def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     """Number of nonnegative integer a-flows; equals brute_force_count always.
 
-    Vertices are processed in increasing label order.  At vertex v the
-    supply ``a_v`` plus committed negative inflow minus committed positive
-    inflow must be split over the outgoing edges (and twice per unit onto
-    loops); branches with negative supply die.  States are memoized on the
-    vector of contributions committed to the not-yet-processed vertices.
-    Parallel copies of one edge are aggregated with a stars-and-bars factor.
+    A bottom-up dynamic program over edge groups, vertices in increasing
+    label order.  Its frontier maps a state to the number of ways of
+    reaching it; a state entering vertex v is the flat tuple
+    ``(supply left at v, committed inflow of v+1, ..., of n+1)``, where the
+    supply is ``a_v`` plus negative inflow minus positive inflow.  Each
+    out-group ``(v, j, sign)`` of multiplicity m sends ``t = 0..supply``
+    units into coordinate j in ``comb(t+m-1, m-1)`` ways, and equal states
+    merge; the last group of a loopless vertex takes whatever is left.
+    Loops then drain the rest two units at a time (none may be left
+    without loops), and states with negative supply die on arrival.  There
+    is no recursion, so a graph of any length is counted.
     """
     _check_netflow(graph, a)
     n1 = graph.n_plus_1
@@ -210,53 +220,53 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     if graph.kind is GraphKind.TYPE_C and (total < 0 or total % 2):
         return 0
 
-    out_groups: dict[int, list[tuple[int, str, int]]] = {}
+    out_groups: dict[int, list[tuple[int, int, int]]] = {}
     loop_mult: dict[int, int] = {}
     for i, j, sign, m in graph.edges:
         if i == j:
             loop_mult[i] = loop_mult.get(i, 0) + m
         else:
-            out_groups.setdefault(i, []).append((j, sign, m))
-    for groups in out_groups.values():
-        groups.sort(key=lambda g: (g[0], 0 if g[1] == NEG else 1))
+            out_groups.setdefault(i, []).append((j, 1 if sign == NEG else -1, m))
 
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def process(v: int, committed: tuple[int, ...]) -> int:
-        if v > n1:
-            return 1
-        key = (v, committed)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        supply = a[v - 1] + committed[0]
-        rest = committed[1:]
-        if supply < 0:
-            memo[key] = 0
-            return 0
-        groups = out_groups.get(v, [])
+    frontier: dict[tuple[int, ...], int] = {}
+    if a[0] >= 0:
+        frontier[(a[0],) + (0,) * (n1 - 1)] = 1
+    for v in range(1, n1 + 1):
+        groups = out_groups.get(v, ())
         loops = loop_mult.get(v, 0)
-        acc = 0
-
-        def distribute(idx: int, remaining: int, ways: int, state: tuple[int, ...]) -> None:
-            nonlocal acc
-            if idx == len(groups):
-                if loops:
-                    if remaining % 2 == 0:
-                        t = remaining // 2
-                        acc += ways * comb(t + loops - 1, loops - 1) * process(v + 1, state)
-                elif remaining == 0:
-                    acc += ways * process(v + 1, state)
-                return
-            j, sign, m = groups[idx]
-            pos = j - v - 1
-            step = 1 if sign == NEG else -1
-            for t in range(remaining + 1):
-                nxt = state[:pos] + (state[pos] + step * t,) + state[pos + 1 :]
-                distribute(idx + 1, remaining - t, ways * comb(t + m - 1, m - 1), nxt)
-
-        distribute(0, supply, 1, rest)
-        memo[key] = acc
-        return acc
-
-    return process(1, (0,) * n1)
+        for idx, (j, step, m) in enumerate(groups):
+            pos = j - v
+            take_all = not loops and idx == len(groups) - 1
+            nxt: dict[tuple[int, ...], int] = {}
+            while frontier:
+                key, ways = frontier.popitem()
+                rem = key[0]
+                head, x, tail = key[1:pos], key[pos], key[pos + 1 :]
+                for t in (rem,) if take_all else range(rem + 1):
+                    state = (rem - t,) + head + (x + step * t,) + tail
+                    if m > 1:
+                        nxt[state] = nxt.get(state, 0) + ways * comb(t + m - 1, m - 1)
+                    else:
+                        nxt[state] = nxt.get(state, 0) + ways
+            frontier = nxt
+        supply = a[v] if v < n1 else 0
+        nxt = {}
+        while frontier:
+            key, ways = frontier.popitem()
+            rem = key[0]
+            if loops:
+                if rem % 2:
+                    continue
+                ways *= comb(rem // 2 + loops - 1, loops - 1)
+            elif rem:
+                continue
+            if v < n1:
+                arrived = key[1] + supply
+                if arrived < 0:
+                    continue
+                state = (arrived,) + key[2:]
+            else:
+                state = ()
+            nxt[state] = nxt.get(state, 0) + ways
+        frontier = nxt
+    return frontier.get((), 0)

@@ -55,6 +55,11 @@ class Theorem(enum.Enum):
     TYPE_C_MIXED = "c32"
 
 
+def _is_int(x: object) -> bool:
+    """An integer that is not a boolean (``True`` is an ``int`` in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _edge_sort_key(slot: Edge) -> tuple[int, int, int]:
     i, j, sign = slot
     return (i, j, _SIGN_KEY[sign])
@@ -114,7 +119,7 @@ class SignedMultigraph:
             if field not in obj:
                 raise ValueError(f"graph JSON is missing field '{field}'")
         n_plus_1 = obj["n_plus_1"]
-        if not isinstance(n_plus_1, int) or n_plus_1 < 1:
+        if not _is_int(n_plus_1) or n_plus_1 < 1:
             raise ValueError("graph JSON field 'n_plus_1' must be a positive integer")
         kind = obj["kind"]
         if kind not in ("A", "C"):
@@ -130,11 +135,11 @@ class SignedMultigraph:
                 if field not in entry:
                     raise ValueError(f"edges[{idx}] is missing field '{field}'")
             i, j, sign, m = entry["i"], entry["j"], entry["sign"], entry["mult"]
-            if not isinstance(i, int) or not isinstance(j, int):
+            if not _is_int(i) or not _is_int(j):
                 raise ValueError(f"edges[{idx}].i and edges[{idx}].j must be integers")
             if sign not in (NEG, POS):
                 raise ValueError(f"edges[{idx}].sign must be \"-\" or \"+\"")
-            if not isinstance(m, int) or m < 0:
+            if not _is_int(m) or m < 0:
                 raise ValueError(f"edges[{idx}].mult must be a nonnegative integer")
             edges.append((i, j, sign, m))
         return build_graph(n_plus_1, GraphKind(kind), edges)
@@ -151,13 +156,13 @@ def build_graph(
     :class:`InvalidEdge` for malformed endpoints and :class:`KindViolation`
     for edges the declared kind forbids.
     """
-    if not isinstance(n_plus_1, int) or n_plus_1 < 1:
+    if not _is_int(n_plus_1) or n_plus_1 < 1:
         raise InvalidEdge(f"vertex count must be a positive integer, got {n_plus_1!r}")
     kind = GraphKind(kind)
     mult: dict[Edge, int] = {}
     for entry in edges:
         i, j, sign, m = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise InvalidEdge(f"endpoints must be integers: {entry!r}")
         if i > j:
             raise InvalidEdge(f"edge ({i},{j}) must have i <= j")
@@ -165,7 +170,7 @@ def build_graph(
             raise InvalidEdge(f"edge ({i},{j}) out of range for {n_plus_1} vertices")
         if sign not in (NEG, POS):
             raise InvalidEdge(f"sign must be '-' or '+', got {sign!r}")
-        if not isinstance(m, int) or m < 0:
+        if not _is_int(m) or m < 0:
             raise InvalidEdge(f"multiplicity must be a nonnegative integer, got {m!r}")
         if kind is GraphKind.TYPE_A:
             if i == j:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import DimensionMismatch, InfeasibleParams
-from .counting import count
+from .errors import InfeasibleParams
+from .counting import _check_netflow, count
 from .graphs import (
     NEG,
     POS,
@@ -93,13 +93,6 @@ def _skip(
     )
 
 
-def _check_len(graph: SignedMultigraph, a: Sequence[int]) -> None:
-    if len(a) != graph.n_plus_1:
-        raise DimensionMismatch(
-            f"netflow has length {len(a)}, graph has {graph.n_plus_1} vertices"
-        )
-
-
 def _supply_notes(a: Sequence[int]) -> tuple[str, ...]:
     if any(x < 0 for x in a[:-1]):
         return ("supplies a_1..a_n contain negative entries",)
@@ -130,7 +123,7 @@ def verify_identity_a(
 ) -> IdentityReport:
     """Check the type A identity on one instance; never raises on failure
     modes, which are reported in the result instead."""
-    _check_len(graph, a)
+    _check_netflow(graph, a)
     cond = bv_hypothesis(graph, Theorem.TYPE_A)
     notes = _supply_notes(a)
     if not cond.satisfied:
@@ -171,7 +164,7 @@ def verify_identity_c(
     theorem = Theorem(theorem)
     if theorem is Theorem.TYPE_A:
         raise ValueError("use verify_identity_a for the type A identity")
-    _check_len(graph, a)
+    _check_netflow(graph, a)
     cond = bv_hypothesis(graph, theorem)
     notes = _supply_notes(a)
     y = netflow_y(a)

@@ -31,13 +31,12 @@ from typing import NamedTuple
 from dataclasses import dataclass
 
 from .errors import (
-    DimensionMismatch,
     HypothesisUnmet,
     IndexOutOfRange,
     InvalidFlow,
     NegativeExtension,
 )
-from .counting import FlowVector, check_flow
+from .counting import FlowVector, _check_netflow, check_flow
 from .graphs import (
     NEG,
     POS,
@@ -84,13 +83,6 @@ def _require_hypothesis(graph: SignedMultigraph) -> None:
     cond = bv_hypothesis(graph, applicable_theorem(graph))
     if not cond.satisfied:
         raise HypothesisUnmet("; ".join(cond.failures))
-
-
-def _check_netflow(graph: SignedMultigraph, a: Sequence[int]) -> None:
-    if len(a) != graph.n_plus_1:
-        raise DimensionMismatch(
-            f"netflow has length {len(a)}, graph has {graph.n_plus_1} vertices"
-        )
 
 
 def strip_distinguished(graph: SignedMultigraph) -> SignedMultigraph:
@@ -323,7 +315,9 @@ def materialize_fiber(
     return fiber
 
 
-def count_via_partial(graph: SignedMultigraph, a: Sequence[int]) -> PartialCount:
+def count_via_partial(
+    graph: SignedMultigraph, a: Sequence[int], require_full: bool = False
+) -> PartialCount:
     """Count flows through the fibration.
 
     ``total`` is the literal sum of ``Y_{n-1} + a_{n-1} + 1`` over partial
@@ -334,8 +328,21 @@ def count_via_partial(graph: SignedMultigraph, a: Sequence[int]) -> PartialCount
     extends (mixed-sign: ``y <= min(a_{n-1}, a_n)``).  Outside that domain
     the literal values are still returned so that the discrepancy is
     visible; they can even be negative.
+
+    With ``require_full=True`` a partial flow with ``L = Y_{n-1}+a_{n-1} < 0``
+    or ``R = Y_n+a_n < 0`` raises :class:`NegativeExtension` instead, so a
+    returned ``total`` is always the flow count on G.
     """
     pfs = enumerate_partial_flows(graph, a)
-    shift = a[graph.n - 2] + 1
-    total = sum(pf.inflows[0] + shift for pf in pfs)
+    a_left, a_right = a[graph.n - 2], a[graph.n - 1]
+    total = 0
+    for pf in pfs:
+        left = pf.inflows[0] + a_left
+        if require_full and (left < 0 or pf.inflows[1] + a_right < 0):
+            raise NegativeExtension(
+                f"partial flow {list(pf.values)} has L = {left}, "
+                f"R = {pf.inflows[1] + a_right} and does not extend to "
+                "G - (n-1, n); the literal aggregate need not be the count"
+            )
+        total += left + 1
     return PartialCount(total=total, num_partial=len(pfs))

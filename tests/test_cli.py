@@ -70,6 +70,37 @@ class TestCount:
         )
         assert code == 3 and "hypothesis" in err
 
+    @pytest.mark.parametrize(
+        "generate, a, dp_count",
+        [
+            (["--n-plus-1", "4", "--theorem", "c32"], "[3,0,4,-1]", "10"),
+            (["--n-plus-1", "5", "--theorem", "a"], "[1,0,2,-1,-2]", "13"),
+        ],
+    )
+    def test_partial_backend_refuses_outside_domain(self, capsys, tmp_path, generate, a,
+                                                     dp_count):
+        # some partial flow has L = a_{n-1}+Y_{n-1} < 0 or R = a_n+Y_n < 0, so
+        # the literal aggregate (-7 and 17 here) is not the count
+        path = str(tmp_path / "g.json")
+        code, _, _ = _run(capsys, ["generate", *generate, "--max-mult", "2", "--seed", "0",
+                                   "-o", path])
+        assert code == 0
+        code, out, _ = _run(capsys, ["count", "--graph", path, "--a", a])
+        assert code == 0 and out == dp_count + "\n"
+        code, out, err = _run(capsys, ["count", "--graph", path, "--a", a, "--backend", "partial"])
+        assert code == 3 and out == "" and "domain" in err
+
+    def test_long_path(self, capsys, tmp_path):
+        n_plus_1 = 1200
+        p = tmp_path / "path.json"
+        p.write_text(json.dumps({
+            "n_plus_1": n_plus_1, "kind": "A",
+            "edges": [{"i": i, "j": i + 1, "sign": "-", "mult": 1} for i in range(1, n_plus_1)],
+        }))
+        a = json.dumps([1] + [0] * (n_plus_1 - 2) + [-1])
+        code, out, err = _run(capsys, ["count", "--graph", str(p), "--a", a])
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_output_file(self, capsys, tmp_path, g3_path):
         out_path = tmp_path / "result.txt"
         code, out, _ = _run(
@@ -118,6 +149,13 @@ class TestInputErrors:
     def test_unknown_flag(self, capsys, g3_path):
         code, _, _ = _run(capsys, ["count", "--graph", g3_path, "--a", "[0,0,0]", "--bogus"])
         assert code == 2
+
+    def test_boolean_in_graph_json(self, capsys, tmp_path):
+        p = tmp_path / "bool_mult.json"
+        p.write_text(json.dumps({"n_plus_1": 3, "kind": "A",
+                                 "edges": [{"i": 1, "j": 2, "sign": "-", "mult": True}]}))
+        code, _, err = _run(capsys, ["count", "--graph", str(p), "--a", "[1,-1,0]"])
+        assert code == 2 and "edges[0].mult" in err
 
     def test_non_integer_netflow(self, capsys, g3_path):
         code, _, err = _run(capsys, ["count", "--graph", g3_path, "--a", "[1,0.5,-1]"])

@@ -8,6 +8,9 @@ from kpflows import (
     LimitExceeded,
     brute_force_count,
     build_graph,
+    catalan_graph,
+    catalan_netflow,
+    catalan_product,
     check_flow,
     count,
     delete_edges,
@@ -90,6 +93,22 @@ class TestCount:
             assert count(g, (0,) * g.n_plus_1) == 1
         for g in (gc, gc_mixed):
             assert count(g, (0,) * g.n_plus_1) >= 1
+
+    def test_catalan_9(self):
+        assert count(catalan_graph(9), catalan_netflow(9)) == catalan_product(9)
+
+    def test_long_path_has_no_depth_limit(self):
+        # one layer per vertex and no recursion: far past Python's default
+        # recursion limit of 1000 frames
+        n_plus_1 = 1200
+        path = build_graph(n_plus_1, "A", [(i, i + 1, "-", 1) for i in range(1, n_plus_1)])
+        assert count(path, (1,) + (0,) * (n_plus_1 - 2) + (-1,)) == 1
+
+    def test_boolean_netflow_rejected(self, g3):
+        with pytest.raises(DimensionMismatch):
+            count(g3, (True, 0, -1))
+        with pytest.raises(DimensionMismatch):
+            brute_force_count(g3, (1, False, -1))
 
     def test_single_vertex_loop(self):
         g = build_graph(1, "C", [(1, 1, "+", 1)])

@@ -70,6 +70,17 @@ class TestBuildGraph:
         with pytest.raises(InvalidEdge):
             build_graph(3, "A", [(1, 2, "x", 1)])
 
+    def test_booleans_rejected(self):
+        # True == 1 in Python; a boolean endpoint or multiplicity is a typo
+        with pytest.raises(InvalidEdge):
+            build_graph(3, "A", [(1, 2, "-", True), (2, 3, "-", 1)])
+        with pytest.raises(InvalidEdge):
+            build_graph(3, "A", [(True, 2, "-", 1)])
+        with pytest.raises(InvalidEdge):
+            build_graph(3, "A", [(1, True, "-", 1)])
+        with pytest.raises(InvalidEdge):
+            build_graph(True, "A", [])
+
     def test_canonical_edge_order(self):
         g = build_graph(3, "C", [(2, 3, "-", 1), (1, 2, "+", 1), (1, 2, "-", 1)])
         assert [e[:3] for e in g.edges] == [(1, 2, "-"), (1, 2, "+"), (2, 3, "-")]
@@ -285,6 +296,10 @@ class TestJsonRoundTrip:
             {"n_plus_1": 3, "kind": "A", "edges": [{"i": 1, "j": 2, "sign": "-"}]},
             {"n_plus_1": 3, "kind": "A", "edges": [{"i": 1, "j": 2, "sign": "*", "mult": 1}]},
             {"n_plus_1": "3", "kind": "A", "edges": []},
+            {"n_plus_1": True, "kind": "A", "edges": []},
+            {"n_plus_1": 3, "kind": "A", "edges": [{"i": 1, "j": 2, "sign": "-", "mult": True}]},
+            {"n_plus_1": 3, "kind": "A", "edges": [{"i": True, "j": 2, "sign": "-", "mult": 1}]},
+            {"n_plus_1": 3, "kind": "A", "edges": [{"i": 1, "j": True, "sign": "-", "mult": 1}]},
         ],
     )
     def test_malformed_rejected(self, obj):

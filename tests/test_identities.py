@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kpflows import (
+    DimensionMismatch,
     InfeasibleParams,
     Theorem,
     brute_force_count,
@@ -28,6 +29,14 @@ class TestVerifyTypeA:
         assert (rep.lhs_count, rep.rhs_count) == (30, 10)
         assert rep.multiplier == 3
         assert rep.verdict is True
+
+    def test_netflow_validated_before_hypothesis(self, g3, k4, gc):
+        with pytest.raises(DimensionMismatch):
+            verify_identity_a(k4, (3, 1, 0))
+        with pytest.raises(DimensionMismatch):
+            verify_identity_a(k4, (3, True, 0, -4))
+        with pytest.raises(DimensionMismatch):
+            verify_identity_c(gc, (4, 0, 0, False), Theorem.TYPE_C_NEGATIVE)
 
     def test_triangle_unconstrained(self, g3):
         rep = verify_identity_a(g3, (2, 3, -5))

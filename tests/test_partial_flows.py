@@ -3,9 +3,11 @@ import random
 import pytest
 
 from kpflows import (
+    DimensionMismatch,
     HypothesisUnmet,
     IndexOutOfRange,
     InvalidFlow,
+    NegativeExtension,
     Theorem,
     applicable_theorem,
     brute_force_count,
@@ -196,6 +198,25 @@ class TestCountViaPartial:
 
     def test_gc(self, gc):
         assert count_via_partial(gc, (4, 0, 0, -2)) == (10, 6)
+
+    def test_require_full_refuses_partial_fibers(self, mixed_no_loop):
+        # on the boundary band 4 of the 9 partial flows extend negatively:
+        # the literal total 9 is not K_G = 7
+        assert count_via_partial(mixed_no_loop, (2, 0, 0, 0)) == (9, 9)
+        with pytest.raises(NegativeExtension):
+            count_via_partial(mixed_no_loop, (2, 0, 0, 0), require_full=True)
+        assert count_via_partial(mixed_no_loop, (1, 1, 1, -1), require_full=True) == (
+            count(mixed_no_loop, (1, 1, 1, -1)),
+            count(delete_edges(mixed_no_loop, [(2, 3, "-")]), (1, 1, 1, -1)),
+        )
+
+    def test_require_full_keeps_values_in_domain(self, k4, gc):
+        assert count_via_partial(k4, (3, 1, 0, -4), require_full=True) == (30, 10)
+        assert count_via_partial(gc, (4, 0, 0, -2), require_full=True) == (10, 6)
+
+    def test_boolean_netflow_rejected(self, k4):
+        with pytest.raises(DimensionMismatch):
+            enumerate_partial_flows(k4, (3, 1, False, -4))
 
     def test_matches_both_counts_on_corpus(self):
         for theorem in (Theorem.TYPE_A, Theorem.TYPE_C_NEGATIVE):
