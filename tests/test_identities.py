@@ -30,7 +30,7 @@ class TestVerifyTypeA:
         assert rep.multiplier == 3
         assert rep.verdict is True
 
-    def test_netflow_validated_before_hypothesis(self, g3, k4, gc):
+    def test_netflow_validated_before_hypothesis(self, k4, gc):
         with pytest.raises(DimensionMismatch):
             verify_identity_a(k4, (3, 1, 0))
         with pytest.raises(DimensionMismatch):
