@@ -9,12 +9,16 @@ consumers never overflow.  Exit codes are the verdict channel:
     2  input error (bad flags, malformed JSON, missing files)
     3  hypothesis or domain constraint not met (check skipped, or the
        partial backend's literal aggregate is not the count)
+    4  internal error: an unexpected exception, reported on one stderr
+       line (its repr and innermost frame), so that no crash reads as a
+       verdict
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from collections.abc import Sequence
@@ -338,6 +342,13 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except KPFlowsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # KeyboardInterrupt and other BaseExceptions pass
+        import traceback  # only on this path: importing it costs every run ~3 ms
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        print(f"internal error: {exc!r} at {where}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -7,12 +7,14 @@ G's edge copies.  Two independent algorithms are provided:
 * :func:`brute_force_count` / :func:`enumerate_flows` — certified exhaustive
   enumeration.  Under the vertex weights ``w_i = n+2-i`` every root of either
   type has weight >= 1, so any flow b satisfies ``sum(b) <= w . a``; that
-  linear functional bounds the search exactly.
+  linear functional bounds the search exactly.  The walk keeps its position
+  in per-slot arrays, not on the call stack.
 * :func:`count` — a bottom-up dynamic program over edge groups (vertices in
   increasing label order, each vertex's out-groups in canonical order).  Its
   frontier of residual states merges the partial assignments that agree on
   everything later edges can see; it never materializes flows and has no
-  recursion.
+  recursion.  The layer loop is :func:`_frontier`, which can stop after any
+  vertex; the partial-flow fibration is read off it after vertex n-2.
 
 All arithmetic is exact (Python integers); counts grow super-exponentially
 and must not be truncated.
@@ -120,8 +122,10 @@ def check_flow(
 def _iter_flows(graph: SignedMultigraph, a: Sequence[int]) -> Iterator[FlowVector]:
     """All valid flows in lexicographic order of the flow vector.
 
-    Enumerates edge copies in canonical order; prunes on the weighted budget,
-    and on coordinates that no later edge can still touch.
+    A depth-first walk over edge copies in canonical order, kept on explicit
+    per-slot arrays instead of the call stack, so any number of edge copies
+    is walked; prunes on the weighted budget, and on coordinates that no
+    later edge can still touch.
     """
     n1 = graph.n_plus_1
     slots = graph.edge_slots()
@@ -140,29 +144,36 @@ def _iter_flows(graph: SignedMultigraph, a: Sequence[int]) -> Iterator[FlowVecto
     budget = sum(wi * ai for wi, ai in zip(w, a))
     if budget < 0:
         return
+    n_slots = len(slots)
     residual = list(a)
-    buf = [0] * len(slots)
-
-    def rec(t: int, left: int) -> Iterator[FlowVector]:
-        if t == len(slots):
+    buf = [0] * n_slots
+    lefts = [budget] + [0] * n_slots  # budget left on entering each slot
+    t = 0
+    while t >= 0:
+        # slot t is entered with buf[t] = 0
+        if t == n_slots:
             if not any(residual):
                 yield tuple(buf)
-            return
-        first = slots[t][0]
         # coordinates below the current smaller endpoint are final
-        if any(residual[u] for u in range(first - 1)):
-            return
-        wt = slot_weight[t]
-        for b in range(left // wt + 1):
-            buf[t] = b
+        elif not any(residual[: slots[t][0] - 1]):
+            lefts[t + 1] = lefts[t]
+            t += 1
+            continue
+        # backtrack to the deepest slot whose value can still grow
+        t -= 1
+        while t >= 0:
+            wt = slot_weight[t]
+            if (buf[t] + 1) * wt <= lefts[t]:
+                buf[t] += 1
+                for k, cf in entries[t]:
+                    residual[k] -= cf
+                lefts[t + 1] = lefts[t] - buf[t] * wt
+                t += 1
+                break
             for k, cf in entries[t]:
-                residual[k] -= cf * b
-            yield from rec(t + 1, left - b * wt)
-            for k, cf in entries[t]:
-                residual[k] += cf * b
-        buf[t] = 0
-
-    yield from rec(0, budget)
+                residual[k] += cf * buf[t]
+            buf[t] = 0
+            t -= 1
 
 
 def brute_force_count(graph: SignedMultigraph, a: Sequence[int]) -> int:
@@ -197,29 +208,24 @@ def enumerate_flows(
     return out
 
 
-def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
-    """Number of nonnegative integer a-flows; equals brute_force_count always.
+def _frontier(
+    graph: SignedMultigraph, a: Sequence[int], last: int
+) -> dict[tuple[int, ...], int]:
+    """Run the edge-group layers of vertices ``1..last``; return the frontier.
 
-    A bottom-up dynamic program over edge groups, vertices in increasing
-    label order.  Its frontier maps a state to the number of ways of
-    reaching it; a state entering vertex v is the flat tuple
-    ``(supply left at v, committed inflow of v+1, ..., of n+1)``, where the
-    supply is ``a_v`` plus negative inflow minus positive inflow.  Each
-    out-group ``(v, j, sign)`` of multiplicity m sends ``t = 0..supply``
-    units into coordinate j in ``comb(t+m-1, m-1)`` ways, and equal states
-    merge; the last group of a loopless vertex takes whatever is left.
-    Loops then drain the rest two units at a time (none may be left
-    without loops), and states with negative supply die on arrival.  There
-    is no recursion, so a graph of any length is counted.
+    The frontier maps a state to the number of ways of reaching it; a state
+    entering vertex v is the flat tuple ``(supply left at v, committed
+    inflow of v+1, ..., of n+1)``, where the supply is ``a_v`` plus negative
+    inflow minus positive inflow.  Each out-group ``(v, j, sign)`` of
+    multiplicity m sends ``t = 0..supply`` units into coordinate j in
+    ``comb(t+m-1, m-1)`` ways, and equal states merge; the last group of a
+    loopless vertex takes whatever is left.  Loops then drain the rest two
+    units at a time (none may be left without loops).  States with negative
+    supply die on arrival at vertices ``1..last``; the arrival at
+    ``last+1``, the first coordinate of every returned state, is kept
+    whatever its sign.  With ``last = n+1`` the only state is ``()``.
     """
-    _check_netflow(graph, a)
     n1 = graph.n_plus_1
-    total = sum(a)
-    if graph.kind is GraphKind.TYPE_A and total != 0:
-        return 0
-    if graph.kind is GraphKind.TYPE_C and (total < 0 or total % 2):
-        return 0
-
     out_groups: dict[int, list[tuple[int, int, int]]] = {}
     loop_mult: dict[int, int] = {}
     for i, j, sign, m in graph.edges:
@@ -229,9 +235,9 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
             out_groups.setdefault(i, []).append((j, 1 if sign == NEG else -1, m))
 
     frontier: dict[tuple[int, ...], int] = {}
-    if a[0] >= 0:
+    if a[0] >= 0 or last == 0:
         frontier[(a[0],) + (0,) * (n1 - 1)] = 1
-    for v in range(1, n1 + 1):
+    for v in range(1, last + 1):
         groups = out_groups.get(v, ())
         loops = loop_mult.get(v, 0)
         for idx, (j, step, m) in enumerate(groups):
@@ -262,11 +268,30 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
                 continue
             if v < n1:
                 arrived = key[1] + supply
-                if arrived < 0:
+                if arrived < 0 and v < last:
                     continue
                 state = (arrived,) + key[2:]
             else:
                 state = ()
             nxt[state] = nxt.get(state, 0) + ways
         frontier = nxt
-    return frontier.get((), 0)
+    return frontier
+
+
+def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
+    """Number of nonnegative integer a-flows; equals brute_force_count always.
+
+    A bottom-up dynamic program over edge groups, vertices in increasing
+    label order (see :func:`_frontier`): after the layers of all ``n+1``
+    vertices the frontier holds the single state ``()``, and its number of
+    ways is the count.  There is no recursion, so a graph of any length is
+    counted.  ``partial_flows.count_via_partial`` stops the same DP after
+    vertex ``n-2`` and reads the partial-flow fibration off its frontier.
+    """
+    _check_netflow(graph, a)
+    total = sum(a)
+    if graph.kind is GraphKind.TYPE_A and total != 0:
+        return 0
+    if graph.kind is GraphKind.TYPE_C and (total < 0 or total % 2):
+        return 0
+    return _frontier(graph, a, graph.n_plus_1).get((), 0)

@@ -22,6 +22,13 @@ extensions stay nonnegative.  Where they cannot (supplies negative, or a
 positive leak total exhausting a supply), the affected partial flows extend
 to nothing; the aggregate sums reported here are the literal ones, so such
 boundaries remain observable.
+
+The fiber size depends on a partial flow only through its inflows, so
+:func:`count_via_partial` never lists partial flows: it stops the counting
+DP of :mod:`kpflows.counting` on H after vertex n-2 and reads the aggregates
+off its frontier, whose states are the inflow triples.  Only the witness
+path (:func:`enumerate_partial_flows`, :func:`materialize_fiber`) visits
+partial flows and their fibers one at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .errors import (
     InvalidFlow,
     NegativeExtension,
 )
-from .counting import FlowVector, _check_netflow, check_flow
+from .counting import FlowVector, _check_netflow, _frontier, check_flow
 from .graphs import (
     NEG,
     POS,
@@ -90,6 +97,29 @@ def strip_distinguished(graph: SignedMultigraph) -> SignedMultigraph:
     return delete_edges(graph, distinguished_edges(graph.n))
 
 
+def _positive_target(
+    graph: SignedMultigraph, a: Sequence[int]
+) -> tuple[bool, int | None]:
+    """Whether ``a`` meets the kind's coordinate-sum constraint (zero total
+    on type A; even, nonnegative total on type C), and the positive total y
+    that partial flows must carry (None on type A)."""
+    if graph.kind is GraphKind.TYPE_A:
+        return sum(a) == 0, None
+    y = netflow_y(a)
+    return y is not None and y >= 0, y
+
+
+def _require_head_edges(h: SignedMultigraph) -> None:
+    """Every H-edge must touch a vertex in [n-2]: the partial-flow
+    constraints live there, and no layer of H's DP handles a later edge."""
+    m = h.n_plus_1 - 3
+    for i, j, sign, _ in h.edges:
+        if i > m:
+            raise HypothesisUnmet(
+                f"edge ({i},{j},{sign}) does not touch vertices 1..{m}"
+            )
+
+
 def _iter_partial_values(
     h: SignedMultigraph, a: Sequence[int], y_target: int | None
 ) -> Iterator[FlowVector]:
@@ -100,6 +130,7 @@ def _iter_partial_values(
     weights ``u_i = n+2-i`` on 1..n-2 (zero on the last three) are >= 1 on
     every H-root, bounding the enumeration by ``sum u_i a_i``.
     """
+    _require_head_edges(h)
     n1 = h.n_plus_1
     m = n1 - 3  # constrained coordinates
     slots = h.edge_slots()
@@ -115,13 +146,8 @@ def _iter_partial_values(
         else:
             ent = ((i - 1, 1), (j - 1, 1))
         kept = tuple((k, cf) for k, cf in ent if k < m)
-        wt = sum(cf * u[k] for k, cf in kept)
-        if wt < 1:
-            raise HypothesisUnmet(
-                f"edge ({i},{j},{sign}) does not touch vertices 1..{m}"
-            )
         entries.append(kept)
-        slot_weight.append(wt)
+        slot_weight.append(sum(cf * u[k] for k, cf in kept))
         slot_pos.append(sign == POS)
     budget = sum(u[k] * a[k] for k in range(m))
     if budget < 0:
@@ -182,15 +208,9 @@ def enumerate_partial_flows(
     """
     _check_netflow(graph, a)
     _require_hypothesis(graph)
-    if graph.kind is GraphKind.TYPE_A:
-        if sum(a) != 0:
-            return []
-        y_target = None
-    else:
-        y = netflow_y(a)
-        if y is None or y < 0:
-            return []
-        y_target = y
+    feasible, y_target = _positive_target(graph, a)
+    if not feasible:
+        return []
     h = strip_distinguished(graph)
     out = []
     for values in _iter_partial_values(h, a, y_target):
@@ -304,45 +324,71 @@ def decompose(
 def materialize_fiber(
     graph: SignedMultigraph, pf: PartialFlow, a: Sequence[int]
 ) -> list[FlowVector]:
-    """All valid extensions of one partial flow to full flows on G."""
-    cap = pf.inflows[0] + a[graph.n - 2]
-    fiber = []
-    for k in range(max(0, cap + 1)):
-        try:
-            fiber.append(extend_with_index(graph, pf, a, k))
-        except NegativeExtension:
-            continue
-    return fiber
+    """All valid extensions of one partial flow to full flows on G.
+
+    The members of :func:`extend_with_index` for ``k = 0..Y_{n-1}+a_{n-1}``
+    whose forced value at (n, n+1) is nonnegative, in order of k.  The
+    hypothesis is checked and H built once per fiber, not once per member.
+    """
+    _check_netflow(graph, a)
+    _require_hypothesis(graph)
+    n = graph.n
+    d1, d2, d3 = distinguished_edges(n)
+    cap = pf.inflows[0] + a[n - 2]
+    right = pf.inflows[1] + a[n - 1]
+    h = strip_distinguished(graph)
+    return [
+        _merge_values(graph, h, pf.values, {d1: k, d2: cap - k, d3: right + k})
+        for k in range(max(0, -right), cap + 1)
+    ]
 
 
 def count_via_partial(
     graph: SignedMultigraph, a: Sequence[int], require_full: bool = False
 ) -> PartialCount:
-    """Count flows through the fibration.
+    """Count flows through the fibration, without listing partial flows.
 
-    ``total`` is the literal sum of ``Y_{n-1} + a_{n-1} + 1`` over partial
-    flows and equals the flow count on G whenever every fiber is full (all
-    supplies nonnegative suffices for type A and all-negative type C;
-    mixed-sign graphs need ``y <= min(a_{n-1}+1, a_n)``).  ``num_partial``
+    ``total`` is the literal sum of ``L + 1 = Y_{n-1} + a_{n-1} + 1`` over
+    partial flows and equals the flow count on G whenever every fiber is
+    full (all supplies nonnegative suffices for type A and all-negative type
+    C; mixed-sign graphs need ``y <= min(a_{n-1}+1, a_n)``).  ``num_partial``
     likewise equals the flow count on G - (n-1, n) when every partial flow
     extends (mixed-sign: ``y <= min(a_{n-1}, a_n)``).  Outside that domain
     the literal values are still returned so that the discrepancy is
     visible; they can even be negative.
 
-    With ``require_full=True`` a partial flow with ``L = Y_{n-1}+a_{n-1} < 0``
-    or ``R = Y_n+a_n < 0`` raises :class:`NegativeExtension` instead, so a
+    Both are read off the counting DP on H stopped after vertex n-2: its
+    frontier maps each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of
+    partial flows with those inflows, so ``total = sum w*(L+1)`` and
+    ``num_partial = sum w``.  On type C the positive total needs no state of
+    its own, because ``2*y_pos = a_1+...+a_{n-2} - (Y_{n-1}+Y_n+Y_{n+1})``;
+    states where that differs from ``2y`` are not partial flows.
+
+    With ``require_full=True`` a partial flow with ``L < 0`` or
+    ``R = Y_n + a_n < 0`` raises :class:`NegativeExtension` instead, so a
     returned ``total`` is always the flow count on G.
     """
-    pfs = enumerate_partial_flows(graph, a)
-    a_left, a_right = a[graph.n - 2], a[graph.n - 1]
-    total = 0
-    for pf in pfs:
-        left = pf.inflows[0] + a_left
-        if require_full and (left < 0 or pf.inflows[1] + a_right < 0):
+    _check_netflow(graph, a)
+    _require_hypothesis(graph)
+    feasible, y = _positive_target(graph, a)
+    if not feasible:
+        return PartialCount(total=0, num_partial=0)
+    h = strip_distinguished(graph)
+    _require_head_edges(h)
+    n = graph.n
+    head = sum(a[: n - 1])  # a_1 + ... + a_{n-1}; L carries a_{n-1}
+    a_right = a[n - 1]
+    total = num_partial = 0
+    for (left, y_n, y_last), ways in _frontier(h, a, n - 2).items():
+        if y is not None and head - left - y_n - y_last != 2 * y:
+            continue
+        if require_full and (left < 0 or y_n + a_right < 0):
             raise NegativeExtension(
-                f"partial flow {list(pf.values)} has L = {left}, "
-                f"R = {pf.inflows[1] + a_right} and does not extend to "
-                "G - (n-1, n); the literal aggregate need not be the count"
+                f"{ways} partial flow(s) with Y = ({left - a[n - 2]}, {y_n}, "
+                f"{y_last}) have L = {left}, R = {y_n + a_right} and do not "
+                "extend to G - (n-1, n); the literal aggregate need not be "
+                "the count"
             )
-        total += left + 1
-    return PartialCount(total=total, num_partial=len(pfs))
+        total += ways * (left + 1)
+        num_partial += ways
+    return PartialCount(total=total, num_partial=num_partial)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from kpflows import count
+from kpflows import catalan_graph, catalan_netflow, catalan_product, count
 from kpflows.cli import run_cli
+import kpflows.cli as cli
 
 
 @pytest.fixture
@@ -17,6 +18,16 @@ def g3_path(tmp_path, g3):
 def k4_path(tmp_path, k4):
     p = tmp_path / "k4.json"
     p.write_text(json.dumps(k4.to_json_dict()))
+    return str(p)
+
+
+@pytest.fixture
+def thick_edge_path(tmp_path):
+    """One edge of multiplicity 1,500: a walk one slot deep per edge copy."""
+    p = tmp_path / "thick.json"
+    p.write_text(json.dumps({
+        "n_plus_1": 2, "kind": "A", "edges": [{"i": 1, "j": 2, "sign": "-", "mult": 1500}],
+    }))
     return str(p)
 
 
@@ -101,6 +112,20 @@ class TestCount:
         code, out, err = _run(capsys, ["count", "--graph", str(p), "--a", a])
         assert (code, out, err) == (0, "1\n", "")
 
+    def test_partial_backend_catalan_8(self, capsys, tmp_path):
+        # 31,743,391,680 partial flows: counted off the DP frontier, not listed
+        p = tmp_path / "k10.json"
+        p.write_text(json.dumps(catalan_graph(8).to_json_dict()))
+        a = json.dumps(list(catalan_netflow(8)))
+        code, out, err = _run(capsys, ["count", "--graph", str(p), "--a", a,
+                                       "--backend", "partial"])
+        assert (code, out, err) == (0, f"{catalan_product(8)}\n", "")
+
+    def test_brute_backend_thick_edge(self, capsys, thick_edge_path):
+        code, out, err = _run(capsys, ["count", "--graph", thick_edge_path, "--a", "[1,-1]",
+                                       "--backend", "brute"])
+        assert (code, out, err) == (0, "1500\n", "")
+
     def test_output_file(self, capsys, tmp_path, g3_path):
         out_path = tmp_path / "result.txt"
         code, out, _ = _run(
@@ -180,6 +205,16 @@ class TestEnumerate:
         payload = json.loads(out)
         assert payload["returned"] == 1 and payload["truncated"] is True
         assert payload["flows"] == [[0, 1, 0]]
+
+    def test_thick_edge(self, capsys, thick_edge_path):
+        code, out, err = _run(capsys, ["enumerate", "--graph", thick_edge_path,
+                                       "--a", "[1,-1]", "--limit", "3"])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["returned"] == 3 and payload["truncated"] is True
+        # lexicographic: the unit moves from the last copy towards the first
+        assert [f.index(1) for f in payload["flows"]] == [1499, 1498, 1497]
+        assert all(sum(f) == 1 and len(f) == 1500 for f in payload["flows"])
 
 
 class TestVerify:
@@ -313,3 +348,23 @@ class TestStdoutNeverContradictsExitCode:
             code, out, _ = _run(capsys, argv)
             assert code == expect_code
             assert json.loads(out)["verdict"] is expect_verdict
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch, g3_path):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._DISPATCH, "count", boom)
+        code, out, err = _run(capsys, ["count", "--graph", g3_path, "--a", "[1,0,-1]"])
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
+        assert err.endswith(" in boom\n") and err.count("\n") == 1
+
+    def test_keyboard_interrupt_passes_through(self, monkeypatch, g3_path):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._DISPATCH, "count", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["count", "--graph", g3_path, "--a", "[1,0,-1]"])

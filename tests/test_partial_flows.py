@@ -4,6 +4,7 @@ import pytest
 
 from kpflows import (
     DimensionMismatch,
+    GraphKind,
     HypothesisUnmet,
     IndexOutOfRange,
     InvalidFlow,
@@ -13,6 +14,9 @@ from kpflows import (
     brute_force_count,
     build_graph,
     bv_hypothesis,
+    catalan_graph,
+    catalan_netflow,
+    catalan_product,
     check_flow,
     count,
     count_via_partial,
@@ -224,6 +228,59 @@ class TestCountViaPartial:
                 total, num = count_via_partial(g, a)
                 assert total == count(g, a)
                 assert num == count(delete_edges(g, [(g.n - 1, g.n, "-")]), a)
+
+
+class TestCountViaPartialAgainstEnumeration:
+    """count_via_partial reads its aggregates off the counting DP's frontier;
+    the partial-flow enumerator shares no code with it and cross-checks it."""
+
+    @staticmethod
+    def _assert_matches_enumeration(g, a):
+        pfs = enumerate_partial_flows(g, a)
+        n = g.n
+        literal = (sum(pf.inflows[0] + a[n - 2] + 1 for pf in pfs), len(pfs))
+        assert count_via_partial(g, a) == literal, (g, a)
+        if all(pf.inflows[0] + a[n - 2] >= 0 and pf.inflows[1] + a[n - 1] >= 0
+               for pf in pfs):
+            assert count_via_partial(g, a, require_full=True) == literal, (g, a)
+            return False
+        with pytest.raises(NegativeExtension):
+            count_via_partial(g, a, require_full=True)
+        return True
+
+    def test_seeded_corpus_with_negative_supplies(self):
+        rng = random.Random(4040)
+        refused = 0
+        for theorem in (Theorem.TYPE_A, Theorem.TYPE_C_NEGATIVE, Theorem.TYPE_C_MIXED):
+            for g, _ in identity_corpus(theorem, 30, seed0=700, sizes=(3, 4, 5, 6),
+                                        netflows_per_graph=1):
+                head = [rng.randint(-1, 3) for _ in range(g.n)]
+                if g.kind is GraphKind.TYPE_A:
+                    a = tuple(head) + (-sum(head),)
+                else:  # odd coordinate sums now and then
+                    last = 2 * rng.randint(0, 3) - sum(head) + (rng.random() < 0.1)
+                    a = tuple(head) + (last,)
+                refused += self._assert_matches_enumeration(g, a)
+        assert refused  # the corpus reaches partial flows that do not extend
+
+    def test_three_vertices(self, g3):
+        # no layers: the single partial flow is empty, with L = a_1
+        assert count_via_partial(g3, (2, 3, -5)) == (3, 1)
+        assert count_via_partial(g3, (-1, 0, 1)) == (0, 1)
+        with pytest.raises(NegativeExtension):
+            count_via_partial(g3, (-1, 0, 1), require_full=True)
+        gc3 = build_graph(3, "C", [(1, 2, "-", 1), (1, 3, "-", 1), (2, 3, "-", 1)])
+        assert count_via_partial(gc3, (1, 1, -2)) == (2, 1)
+        assert count_via_partial(gc3, (1, 1, 0)) == (0, 0)  # y = 1, no positive edge
+        for a in ((2, 3, -5), (-1, 0, 1), (0, -2, 2)):
+            self._assert_matches_enumeration(g3, a)
+        for a in ((1, 1, -2), (1, 1, 0), (2, -1, 1)):
+            self._assert_matches_enumeration(gc3, a)
+
+    def test_catalan_8(self):
+        # 31,743,391,680 partial flows, none of them listed
+        result = count_via_partial(catalan_graph(8), catalan_netflow(8))
+        assert result.total == catalan_product(8)
 
 
 class TestAveragingIdentity:
