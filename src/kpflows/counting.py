@@ -14,7 +14,10 @@ G's edge copies.  Two independent algorithms are provided:
   frontier of residual states merges the partial assignments that agree on
   everything later edges can see; it never materializes flows and has no
   recursion.  The layer loop is :func:`_frontier`, which can stop after any
-  vertex; the partial-flow fibration is read off it after vertex n-2.
+  vertex; the partial-flow fibration is read off it after vertex n-2.  Inside
+  the loop each state is packed into one integer, one biased digit per
+  coordinate in a radix derived from ``sum|a_i|``, and each edge group is one
+  precompiled integer delta; only the returned frontier is decoded to tuples.
 
 All arithmetic is exact (Python integers); counts grow super-exponentially
 and must not be truncated.
@@ -110,7 +113,7 @@ def check_flow(
         raise DimensionMismatch(
             f"flow has length {len(f)}, graph has {graph.num_edges} edge copies"
         )
-    if any(not isinstance(b, int) or b < 0 for b in f):
+    if any(not _is_int(b) or b < 0 for b in f):
         return False
     by_vertex = _conservation_holds(graph, f, a)
     by_roots = _combination_holds(graph, f, a)
@@ -194,7 +197,7 @@ def enumerate_flows(
     instead of silently dropping flows.
     """
     _check_netflow(graph, a)
-    if limit is not None and (not isinstance(limit, int) or limit < 1):
+    if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
     out: list[FlowVector] = []
     for f in _iter_flows(graph, a):
@@ -206,6 +209,12 @@ def enumerate_flows(
             return out
         out.append(f)
     return out
+
+
+def _grow_weights(weights: list[int], m: int, top: int) -> None:
+    """Extend ``weights[t] = comb(t+m-1, m-1)`` through ``t = top``."""
+    for t in range(len(weights), top + 1):
+        weights.append(weights[-1] * (t + m - 1) // t)
 
 
 def _frontier(
@@ -224,42 +233,88 @@ def _frontier(
     supply die on arrival at vertices ``1..last``; the arrival at
     ``last+1``, the first coordinate of every returned state, is kept
     whatever its sign.  With ``last = n+1`` the only state is ``()``.
+
+    Inside the loop a state is one integer: coordinate k (the supply is
+    k = 0) is digit k in radix ``B = 2K+1``, stored as ``c_k + K`` with
+    ``K = sum|a_i| + 1``.  Sending t units along an out-group is then
+    ``key + t*delta`` with the group's precompiled
+    ``delta = step*B**(j-v) - 1`` (step +1 for a negative edge, -1 for a
+    positive one), and closing a vertex drops the lowest digit with
+    ``key // B``.  Only the returned frontier is decoded to tuples.
+
+    No digit carries, because ``|c_k| < K`` for every coordinate ever
+    stored.  By induction over vertices, the negative plus positive inflow
+    committed to later vertices, plus the supply left at the current
+    vertex, never exceeds ``a_1^+ + ... + a_v^+``: a vertex with supply
+    ``s >= 0`` removes its own committed inflow ``N + P`` and sends out at
+    most ``s = a_v + N - P``, a net change of at most ``a_v - 2P <= a_v^+``.
+    So every committed coordinate and every supply inside a vertex is at
+    most ``sum|a_i| < K`` in absolute value, and so is each arrival
+    ``c + a_{v+1}``, including the one at ``last+1`` kept at any sign.
     """
     n1 = graph.n_plus_1
-    out_groups: dict[int, list[tuple[int, int, int]]] = {}
+    big = sum(abs(x) for x in a) + 1
+    radix = 2 * big + 1
+    out_groups: dict[int, list[tuple[int, int, list[int]]]] = {}
     loop_mult: dict[int, int] = {}
     for i, j, sign, m in graph.edges:
         if i == j:
             loop_mult[i] = loop_mult.get(i, 0) + m
         else:
-            out_groups.setdefault(i, []).append((j, 1 if sign == NEG else -1, m))
+            step = 1 if sign == NEG else -1
+            # weights[t] = comb(t+m-1, m-1), grown by _grow_weights on demand
+            out_groups.setdefault(i, []).append(
+                (step * radix ** (j - i) - 1, m, [1])
+            )
 
-    frontier: dict[tuple[int, ...], int] = {}
+    frontier: dict[int, int] = {}
     if a[0] >= 0 or last == 0:
-        frontier[(a[0],) + (0,) * (n1 - 1)] = 1
+        # every digit holds its bias K; the supply digit adds a_1
+        frontier[big * (radix**n1 - 1) // (radix - 1) + a[0]] = 1
     for v in range(1, last + 1):
         groups = out_groups.get(v, ())
         loops = loop_mult.get(v, 0)
-        for idx, (j, step, m) in enumerate(groups):
-            pos = j - v
-            take_all = not loops and idx == len(groups) - 1
-            nxt: dict[tuple[int, ...], int] = {}
-            while frontier:
-                key, ways = frontier.popitem()
-                rem = key[0]
-                head, x, tail = key[1:pos], key[pos], key[pos + 1 :]
-                for t in (rem,) if take_all else range(rem + 1):
-                    state = (rem - t,) + head + (x + step * t,) + tail
+        supply = a[v] if v < n1 else 0
+        # the last group of a loopless vertex takes the whole rest, which
+        # leaves the supply digit at its bias, and closes the vertex at once
+        closing = len(groups) - 1 if groups and not loops else -1
+        for idx, (delta, m, weights) in enumerate(groups):
+            nxt: dict[int, int] = {}
+            if idx == closing:
+                while frontier:
+                    key, ways = frontier.popitem()
+                    rem = key % radix - big
                     if m > 1:
-                        nxt[state] = nxt.get(state, 0) + ways * comb(t + m - 1, m - 1)
-                    else:
+                        if rem >= len(weights):
+                            _grow_weights(weights, m, rem)
+                        ways *= weights[rem]
+                    state = (key + rem * delta) // radix + supply
+                    if v < last and state % radix < big:  # negative arrival
+                        continue
+                    nxt[state] = nxt.get(state, 0) + ways
+            elif m > 1:
+                while frontier:
+                    key, ways = frontier.popitem()
+                    rem = key % radix - big
+                    if rem >= len(weights):
+                        _grow_weights(weights, m, rem)
+                    for state, w in zip(
+                        range(key, key + (rem + 1) * delta, delta), weights
+                    ):
+                        nxt[state] = nxt.get(state, 0) + ways * w
+            else:
+                while frontier:
+                    key, ways = frontier.popitem()
+                    rem = key % radix - big
+                    for state in range(key, key + (rem + 1) * delta, delta):
                         nxt[state] = nxt.get(state, 0) + ways
             frontier = nxt
-        supply = a[v] if v < n1 else 0
+        if closing >= 0:
+            continue
         nxt = {}
         while frontier:
             key, ways = frontier.popitem()
-            rem = key[0]
+            rem = key % radix - big
             if loops:
                 if rem % 2:
                     continue
@@ -267,15 +322,22 @@ def _frontier(
             elif rem:
                 continue
             if v < n1:
-                arrived = key[1] + supply
-                if arrived < 0 and v < last:
+                state = key // radix + supply
+                if v < last and state % radix < big:  # negative arrival
                     continue
-                state = (arrived,) + key[2:]
             else:
-                state = ()
+                state = 0
             nxt[state] = nxt.get(state, 0) + ways
         frontier = nxt
-    return frontier
+    width = n1 - last
+    out: dict[tuple[int, ...], int] = {}
+    for key, ways in frontier.items():
+        coords = []
+        for _ in range(width):
+            key, digit = divmod(key, radix)
+            coords.append(digit - big)
+        out[tuple(coords)] = ways
+    return out
 
 
 def count(graph: SignedMultigraph, a: Sequence[int]) -> int:

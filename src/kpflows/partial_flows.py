@@ -128,7 +128,10 @@ def _iter_partial_values(
 
     Under the hypothesis every H-edge touches a vertex in [n-2], so the
     weights ``u_i = n+2-i`` on 1..n-2 (zero on the last three) are >= 1 on
-    every H-root, bounding the enumeration by ``sum u_i a_i``.
+    every H-root, bounding the enumeration by ``sum u_i a_i``.  Like
+    :func:`kpflows.counting._iter_flows`, the depth-first walk keeps its
+    position in per-slot arrays, not on the call stack, so any number of
+    edge copies is walked.
     """
     _require_head_edges(h)
     n1 = h.n_plus_1
@@ -152,34 +155,42 @@ def _iter_partial_values(
     budget = sum(u[k] * a[k] for k in range(m))
     if budget < 0:
         return
+    n_slots = len(slots)
     residual = list(a[:m])
-    buf = [0] * len(slots)
-
-    def rec(t: int, left: int, pos_left: int | None) -> Iterator[FlowVector]:
-        if t == len(slots):
-            if not any(residual) and (pos_left is None or pos_left == 0):
+    buf = [0] * n_slots
+    lefts = [budget] + [0] * n_slots  # budget left on entering each slot
+    pos_used = 0  # flow on positive slots so far; at most y_target if pinned
+    t = 0
+    while t >= 0:
+        # slot t is entered with buf[t] = 0
+        if t == n_slots:
+            if not any(residual) and (y_target is None or pos_used == y_target):
                 yield tuple(buf)
-            return
-        first = slots[t][0]
-        if any(residual[k] for k in range(min(first - 1, m))):
-            return
-        cap = left // slot_weight[t]
-        if slot_pos[t] and pos_left is not None:
-            cap = min(cap, pos_left)
-        for b in range(cap + 1):
-            buf[t] = b
+        # constrained coordinates below the current smaller endpoint are final
+        elif not any(residual[: min(slots[t][0] - 1, m)]):
+            lefts[t + 1] = lefts[t]
+            t += 1
+            continue
+        # backtrack to the deepest slot whose value can still grow
+        t -= 1
+        while t >= 0:
+            wt = slot_weight[t]
+            pinned = slot_pos[t] and y_target is not None
+            if (buf[t] + 1) * wt <= lefts[t] and not (pinned and pos_used == y_target):
+                buf[t] += 1
+                for k, cf in entries[t]:
+                    residual[k] -= cf
+                if slot_pos[t]:
+                    pos_used += 1
+                lefts[t + 1] = lefts[t] - buf[t] * wt
+                t += 1
+                break
             for k, cf in entries[t]:
-                residual[k] -= cf * b
-            yield from rec(
-                t + 1,
-                left - b * slot_weight[t],
-                pos_left - b if slot_pos[t] and pos_left is not None else pos_left,
-            )
-            for k, cf in entries[t]:
-                residual[k] += cf * b
-        buf[t] = 0
-
-    yield from rec(0, budget, y_target)
+                residual[k] += cf * buf[t]
+            if slot_pos[t]:
+                pos_used -= buf[t]
+            buf[t] = 0
+            t -= 1
 
 
 def _partial_stats(

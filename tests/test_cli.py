@@ -293,6 +293,22 @@ class TestWitness:
         code, _, _ = _run(capsys, ["witness", "--graph", str(p), "--a", "[1,0,0,-1]"])
         assert code == 3
 
+    def test_thick_edge(self, capsys, tmp_path):
+        # 1,500 copies of (1,2): the partial-flow walk is one slot deep per copy
+        p = tmp_path / "thick4.json"
+        p.write_text(json.dumps({
+            "n_plus_1": 4, "kind": "A",
+            "edges": [{"i": 1, "j": 2, "sign": "-", "mult": 1500},
+                      {"i": 2, "j": 3, "sign": "-", "mult": 1},
+                      {"i": 2, "j": 4, "sign": "-", "mult": 1},
+                      {"i": 3, "j": 4, "sign": "-", "mult": 1}],
+        }))
+        code, out, err = _run(capsys, ["witness", "--graph", str(p), "--a", "[1,0,0,-1]"])
+        assert (code, err) == (0, "")
+        certs = json.loads(out)
+        assert len(certs) == 1500
+        assert sum(len(cert["fiber"]) for cert in certs) == 3000
+
 
 class TestGenerate:
     def test_round_trip_through_other_commands(self, capsys, tmp_path):

@@ -37,6 +37,11 @@ class TestCheckFlow:
     def test_negative_entries_rejected(self, g3):
         assert not check_flow(g3, (0, 1, -1), (1, 0, 0))
 
+    def test_boolean_entries_rejected(self):
+        g = build_graph(2, "A", [(1, 2, "-", 1)])
+        assert check_flow(g, (1,), (1, -1))
+        assert not check_flow(g, (True,), (1, -1))
+
     def test_dimension_mismatch(self, g3):
         with pytest.raises(DimensionMismatch):
             check_flow(g3, (0, 1), (1, 0, -1))
@@ -136,6 +141,10 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_flows(g3, (1, 0, -1), limit=0)
 
+    def test_boolean_limit_rejected(self, g3):
+        with pytest.raises(ValueError):
+            enumerate_flows(g3, (1, 0, -1), limit=True)
+
     def test_every_flow_checks_and_is_distinct(self, gc):
         flows = enumerate_flows(gc, (4, 0, 0, -2))
         assert len(flows) == len(set(flows)) == 10
@@ -156,6 +165,30 @@ class TestOracleAgreement:
             expected = brute_force_count(g, a)
             assert count(g, a) == expected
             assert len(enumerate_flows(g, a)) == expected
+        # extreme supplies: a packed DP coordinate reaches |c| = sum|a_i|
+        k4_double = build_graph(4, "A", [(i, j, "-", 2) for i in range(1, 4)
+                                         for j in range(i + 1, 5)])
+        mixed = build_graph(4, "C", [(1, j, s, 1) for j in (2, 3, 4) for s in "-+"]
+                            + [(2, 3, "-", 1), (2, 4, "-", 1), (3, 4, "-", 1)])
+        extreme = [
+            # loops drain the whole supply
+            (build_graph(2, "C", [(1, 1, "+", 2), (1, 2, "-", 1)]), (6, 0)),
+            # a positive edge of multiplicity 2 takes the whole supply
+            (build_graph(3, "C", [(1, 2, "+", 2), (2, 3, "-", 1)]), (4, 4, 0)),
+            # a_{n+1} = -sum(head)
+            (k4_double, (3, 2, 1, -6)),
+            (k4_double, (4, 0, 0, -4)),
+            # negative first supply
+            (k4_double, (-1, 2, 0, -1)),
+            # type C arrivals made negative by positive inflow
+            (build_graph(2, "C", [(1, 2, "+", 1)]), (3, -3)),
+            (mixed, (2, -3, 0, 3)),
+            (mixed, (3, -1, -1, 1)),
+        ]
+        for g, a in extreme:
+            expected = brute_force_count(g, a)
+            assert count(g, a) == expected, (g, a)
+            assert len(enumerate_flows(g, a)) == expected, (g, a)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

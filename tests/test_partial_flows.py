@@ -248,7 +248,7 @@ class TestCountViaPartialAgainstEnumeration:
             count_via_partial(g, a, require_full=True)
         return True
 
-    def test_seeded_corpus_with_negative_supplies(self):
+    def test_seeded_corpus_with_negative_supplies(self, g3, k4, gc_mixed, mixed_no_loop):
         rng = random.Random(4040)
         refused = 0
         for theorem in (Theorem.TYPE_A, Theorem.TYPE_C_NEGATIVE, Theorem.TYPE_C_MIXED):
@@ -262,6 +262,19 @@ class TestCountViaPartialAgainstEnumeration:
                     a = tuple(head) + (last,)
                 refused += self._assert_matches_enumeration(g, a)
         assert refused  # the corpus reaches partial flows that do not extend
+        # extreme supplies: a packed DP coordinate reaches |c| = sum|a_i|
+        extreme = [
+            (gc_mixed, (4, 0, 0, 0)),  # the loop can drain the whole supply
+            (mixed_no_loop, (2, 0, 0, 0)),  # so can a positive edge
+            (k4, (3, 2, 1, -6)),  # a_{n+1} = -sum(head)
+            (k4, (5, 0, 0, -5)),
+            (g3, (-2, 1, 1)),  # negative first supply, frontier at vertex 0
+            (g3, (-3, 0, 3)),
+            (mixed_no_loop, (2, -3, 0, 3)),  # negative arrival at n-1
+            (gc_mixed, (3, -1, -2, 2)),
+        ]
+        for g, a in extreme:
+            self._assert_matches_enumeration(g, a)
 
     def test_three_vertices(self, g3):
         # no layers: the single partial flow is empty, with L = a_1
