@@ -192,7 +192,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     payload = {
         "returned": len(flows),
         "truncated": truncated,
-        "flows": [list(f) for f in flows],
+        "flows": flows,
     }
     _emit(args, json.dumps(payload))
     return 0
@@ -274,10 +274,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         fiber = materialize_fiber(graph, pf, a)
         certificates.append(
             {
-                "partial_flow": list(pf.values),
-                "Y": list(pf.inflows),
+                "partial_flow": pf.values,
+                "Y": pf.inflows,
                 "fiber_size": len(fiber),
-                "fiber": [list(f) for f in fiber],
+                "fiber": fiber,
             }
         )
     _emit(args, json.dumps(certificates))

@@ -5,10 +5,21 @@ write ``a`` as a nonnegative integer combination of the roots attached to
 G's edge copies.  Two independent algorithms are provided:
 
 * :func:`brute_force_count` / :func:`enumerate_flows` — certified exhaustive
-  enumeration.  Under the vertex weights ``w_i = n+2-i`` every root of either
-  type has weight >= 1, so any flow b satisfies ``sum(b) <= w . a``; that
-  linear functional bounds the search exactly.  The walk keeps its position
-  in per-slot arrays, not on the call stack.
+  enumeration by :func:`_walk`, which also lists the partial flows of
+  :mod:`kpflows.partial_flows`.  It sets edge copies one at a time in
+  canonical order, smallest value first, keeping its position in per-slot
+  arrays, not on the call stack.  Three prunes, each cutting only branches
+  that hold no flow, so the lexicographic order is unchanged:
+
+  - *weighted budget*: under ``w_i = n+2-i`` every root has weight >= 1, so
+    any flow b satisfies ``sum(b) <= w . a``;
+  - *supply bound*: once every slot with smaller endpoint below i is set,
+    coordinate i holds its supply s_i, and every later slot touching i is
+    out of i with a positive coefficient cf, so it can only lower s_i to its
+    required 0; hence ``s_i < 0`` is dead and a slot out of i takes at most
+    ``residual_i // cf``;
+  - *forced last slot*: no slot after the last one out of i touches i, so
+    that slot must take exactly ``residual_i / cf``, and a remainder is dead.
 * :func:`count` — a bottom-up dynamic program over edge groups (vertices in
   increasing label order, each vertex's out-groups in canonical order).  Its
   frontier of residual states merges the partial assignments that agree on
@@ -26,10 +37,11 @@ and must not be truncated.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import islice
 from math import comb
 
 from .errors import DimensionMismatch, LimitExceeded
-from .graphs import NEG, GraphKind, SignedMultigraph, _is_int, root_of_edge
+from .graphs import NEG, POS, GraphKind, SignedMultigraph, _is_int, root_of_edge
 
 FlowVector = tuple[int, ...]
 
@@ -122,67 +134,102 @@ def check_flow(
     return by_vertex
 
 
-def _iter_flows(graph: SignedMultigraph, a: Sequence[int]) -> Iterator[FlowVector]:
-    """All valid flows in lexicographic order of the flow vector.
+def _walk(
+    graph: SignedMultigraph,
+    a: Sequence[int],
+    m: int,
+    y_target: int | None = None,
+) -> Iterator[FlowVector]:
+    """Nonnegative slot vectors whose root combination matches ``a`` on
+    coordinates ``1..m``, in lexicographic order.
 
-    A depth-first walk over edge copies in canonical order, kept on explicit
-    per-slot arrays instead of the call stack, so any number of edge copies
-    is walked; prunes on the weighted budget, and on coordinates that no
-    later edge can still touch.
+    With ``m = n+1`` these are the flows; with ``m = n-2`` on H they are the
+    partial flows, and ``y_target``, if given, pins their total flow on
+    positive slots (loops included).  Every slot's smaller endpoint must lie
+    in ``1..m``.  A depth-first walk over edge copies in canonical order,
+    kept on per-slot arrays instead of the call stack, with the weighted
+    budget, the supply bound and the forced last slot of the module
+    docstring as its prunes.
     """
     n1 = graph.n_plus_1
     slots = graph.edge_slots()
-    w = vertex_weights(n1)
-    entries: list[tuple[tuple[int, int], ...]] = []
-    slot_weight: list[int] = []
-    for i, j, sign in slots:
-        if i == j:
-            ent = ((i - 1, 2),)
-        elif sign == NEG:
-            ent = ((i - 1, 1), (j - 1, -1))
-        else:
-            ent = ((i - 1, 1), (j - 1, 1))
-        entries.append(ent)
-        slot_weight.append(sum(cf * w[k] for k, cf in ent))
-    budget = sum(wi * ai for wi, ai in zip(w, a))
-    if budget < 0:
-        return
     n_slots = len(slots)
-    residual = list(a)
+    u = [n1 - k if k < m else 0 for k in range(n1)]
+    left = sum(u[k] * a[k] for k in range(m))  # the budget, less what is set
+    if left < 0:
+        return
+    roots = [root_of_edge(i, j, sign, n1) for i, j, sign in slots]
+    entries = [tuple((k, cf) for k, cf in enumerate(r[:m]) if cf) for r in roots]
+    weight = [sum(cf * uk for cf, uk in zip(r, u)) for r in roots]
+    src = [i - 1 for i, _, _ in slots]
+    step = [r[s] for r, s in zip(roots, src)]  # the coefficient at the source
+    forced = [s != nxt for s, nxt in zip(src, src[1:] + [-1])]
+    # the first slot out of a source checks that the coordinates since the
+    # previous source are zero (that source's own was zeroed by its forced
+    # slot) and that its supply is nonnegative
+    gate = [(p + 1, s) if s != p else None for s, p in zip(src, [-1] + src)]
+    pinned = [y_target is not None and sign == POS for _, _, sign in slots]
+    residual = list(a[:m])
     buf = [0] * n_slots
-    lefts = [budget] + [0] * n_slots  # budget left on entering each slot
+    pos_used = 0  # flow on pinned slots so far, at most y_target
     t = 0
-    while t >= 0:
+    while True:
         # slot t is entered with buf[t] = 0
         if t == n_slots:
-            if not any(residual):
+            if not any(residual) and (y_target is None or pos_used == y_target):
                 yield tuple(buf)
-        # coordinates below the current smaller endpoint are final
-        elif not any(residual[: slots[t][0] - 1]):
-            lefts[t + 1] = lefts[t]
-            t += 1
-            continue
+        elif (g := gate[t]) is None or (
+            not any(residual[g[0]:g[1]]) and residual[src[t]] >= 0
+        ):
+            if not forced[t]:
+                t += 1
+                continue
+            v, r = divmod(residual[src[t]], step[t])
+            if (
+                not r
+                and v * weight[t] <= left
+                and not (pinned[t] and pos_used + v > y_target)
+            ):
+                buf[t] = v
+                for k, cf in entries[t]:
+                    residual[k] -= cf * v
+                if pinned[t]:
+                    pos_used += v
+                left -= v * weight[t]
+                t += 1
+                continue
         # backtrack to the deepest slot whose value can still grow
         t -= 1
         while t >= 0:
-            wt = slot_weight[t]
-            if (buf[t] + 1) * wt <= lefts[t]:
+            if (
+                not forced[t]
+                and residual[src[t]] >= step[t]
+                and weight[t] <= left
+                and not (pinned[t] and pos_used == y_target)
+            ):
                 buf[t] += 1
                 for k, cf in entries[t]:
                     residual[k] -= cf
-                lefts[t + 1] = lefts[t] - buf[t] * wt
+                if pinned[t]:
+                    pos_used += 1
+                left -= weight[t]
                 t += 1
                 break
             for k, cf in entries[t]:
                 residual[k] += cf * buf[t]
+            if pinned[t]:
+                pos_used -= buf[t]
+            left += buf[t] * weight[t]
             buf[t] = 0
             t -= 1
+        if t < 0:
+            return
 
 
 def brute_force_count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     """Ground-truth count by exhaustive enumeration; exponential time."""
     _check_netflow(graph, a)
-    return sum(1 for _ in _iter_flows(graph, a))
+    return sum(1 for _ in _walk(graph, a, graph.n_plus_1))
 
 
 def enumerate_flows(
@@ -199,15 +246,12 @@ def enumerate_flows(
     _check_netflow(graph, a)
     if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
-    out: list[FlowVector] = []
-    for f in _iter_flows(graph, a):
-        if limit is not None and len(out) == limit:
-            if require_complete:
-                raise LimitExceeded(
-                    f"more than {limit} flows exist but completeness was requested"
-                )
-            return out
-        out.append(f)
+    walk = _walk(graph, a, graph.n_plus_1)
+    out = list(islice(walk, limit))
+    if require_complete and limit is not None and next(walk, None) is not None:
+        raise LimitExceeded(
+            f"more than {limit} flows exist but completeness was requested"
+        )
     return out
 
 

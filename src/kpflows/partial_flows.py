@@ -28,32 +28,41 @@ The fiber size depends on a partial flow only through its inflows, so
 DP of :mod:`kpflows.counting` on H after vertex n-2 and reads the aggregates
 off its frontier, whose states are the inflow triples.  Only the witness
 path (:func:`enumerate_partial_flows`, :func:`materialize_fiber`) visits
-partial flows and their fibers one at a time.
+partial flows and their fibers one at a time.  The partial flows come from
+the walk of :mod:`kpflows.counting` on H with coordinates 1..n-2
+constrained.  Its *supply bound* is exact because every H-edge leaves a
+vertex in [n-2], so the slots out of such a vertex i only lower its supply,
+which must end at 0; its *forced last slot* is exact because no later slot
+touches i.  Everything that depends on G alone (the hypothesis, H, the
+G-slot index of every H slot and distinguished edge, H's roots) is compiled
+once per graph by :func:`_fibration`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from typing import NamedTuple
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
+    DimensionMismatch,
     HypothesisUnmet,
     IndexOutOfRange,
     InvalidFlow,
     NegativeExtension,
 )
-from .counting import FlowVector, _check_netflow, _frontier, check_flow
+from .counting import FlowVector, _check_netflow, _frontier, _walk, check_flow
 from .graphs import (
-    NEG,
-    POS,
     GraphKind,
     SignedMultigraph,
     Theorem,
+    _is_int,
     bv_hypothesis,
     delete_edges,
     distinguished_edges,
     netflow_y,
+    root_of_edge,
 )
 
 
@@ -86,12 +95,6 @@ def applicable_theorem(graph: SignedMultigraph) -> Theorem:
     return Theorem.TYPE_C_MIXED
 
 
-def _require_hypothesis(graph: SignedMultigraph) -> None:
-    cond = bv_hypothesis(graph, applicable_theorem(graph))
-    if not cond.satisfied:
-        raise HypothesisUnmet("; ".join(cond.failures))
-
-
 def strip_distinguished(graph: SignedMultigraph) -> SignedMultigraph:
     """H: the graph minus the three distinguished edges."""
     return delete_edges(graph, distinguished_edges(graph.n))
@@ -109,103 +112,83 @@ def _positive_target(
     return y is not None and y >= 0, y
 
 
-def _require_head_edges(h: SignedMultigraph) -> None:
-    """Every H-edge must touch a vertex in [n-2]: the partial-flow
-    constraints live there, and no layer of H's DP handles a later edge."""
-    m = h.n_plus_1 - 3
-    for i, j, sign, _ in h.edges:
-        if i > m:
-            raise HypothesisUnmet(
-                f"edge ({i},{j},{sign}) does not touch vertices 1..{m}"
-            )
+class _Layout(NamedTuple):
+    """The netflow-free part of G's fibration, compiled once per graph."""
+
+    h: SignedMultigraph  # G minus the three distinguished edges
+    h_pos: tuple[int, ...]  # G-slot index of each H slot
+    d_pos: tuple[int, int, int]  # G-slot index of each distinguished edge
+    roots: tuple[tuple[tuple[int, int], ...], ...]  # per H slot, its root's (k, cf != 0)
 
 
-def _iter_partial_values(
-    h: SignedMultigraph, a: Sequence[int], y_target: int | None
-) -> Iterator[FlowVector]:
-    """Flows on H matching ``a`` on coordinates 1..n-2, in lexicographic
-    order; ``y_target`` pins the total positive flow (type C).
+@lru_cache(maxsize=16)
+def _fibration(graph: SignedMultigraph) -> _Layout:
+    """Check the hypothesis, build H and compile the slot layout; once per
+    graph, since every fiber and every member of a request shares them.
 
-    Under the hypothesis every H-edge touches a vertex in [n-2], so the
-    weights ``u_i = n+2-i`` on 1..n-2 (zero on the last three) are >= 1 on
-    every H-root, bounding the enumeration by ``sum u_i a_i``.  Like
-    :func:`kpflows.counting._iter_flows`, the depth-first walk keeps its
-    position in per-slot arrays, not on the call stack, so any number of
-    edge copies is walked.
+    Every H-edge must touch a vertex in [n-2]: the partial-flow constraints
+    live there, and neither the walk nor H's DP handles a later edge.
     """
-    _require_head_edges(h)
-    n1 = h.n_plus_1
-    m = n1 - 3  # constrained coordinates
-    slots = h.edge_slots()
-    u = [n1 - k if k < m else 0 for k in range(n1)]
-    entries: list[tuple[tuple[int, int], ...]] = []
-    slot_weight: list[int] = []
-    slot_pos: list[bool] = []
-    for i, j, sign in slots:
-        if i == j:
-            ent = ((i - 1, 2),)
-        elif sign == NEG:
-            ent = ((i - 1, 1), (j - 1, -1))
-        else:
-            ent = ((i - 1, 1), (j - 1, 1))
-        kept = tuple((k, cf) for k, cf in ent if k < m)
-        entries.append(kept)
-        slot_weight.append(sum(cf * u[k] for k, cf in kept))
-        slot_pos.append(sign == POS)
-    budget = sum(u[k] * a[k] for k in range(m))
-    if budget < 0:
-        return
-    n_slots = len(slots)
-    residual = list(a[:m])
-    buf = [0] * n_slots
-    lefts = [budget] + [0] * n_slots  # budget left on entering each slot
-    pos_used = 0  # flow on positive slots so far; at most y_target if pinned
-    t = 0
-    while t >= 0:
-        # slot t is entered with buf[t] = 0
-        if t == n_slots:
-            if not any(residual) and (y_target is None or pos_used == y_target):
-                yield tuple(buf)
-        # constrained coordinates below the current smaller endpoint are final
-        elif not any(residual[: min(slots[t][0] - 1, m)]):
-            lefts[t + 1] = lefts[t]
-            t += 1
-            continue
-        # backtrack to the deepest slot whose value can still grow
-        t -= 1
-        while t >= 0:
-            wt = slot_weight[t]
-            pinned = slot_pos[t] and y_target is not None
-            if (buf[t] + 1) * wt <= lefts[t] and not (pinned and pos_used == y_target):
-                buf[t] += 1
-                for k, cf in entries[t]:
-                    residual[k] -= cf
-                if slot_pos[t]:
-                    pos_used += 1
-                lefts[t + 1] = lefts[t] - buf[t] * wt
-                t += 1
-                break
-            for k, cf in entries[t]:
-                residual[k] += cf * buf[t]
-            if slot_pos[t]:
-                pos_used -= buf[t]
-            buf[t] = 0
-            t -= 1
+    cond = bv_hypothesis(graph, applicable_theorem(graph))
+    if not cond.satisfied:
+        raise HypothesisUnmet("; ".join(cond.failures))
+    h = strip_distinguished(graph)
+    for i, j, sign, _ in h.edges:
+        if i > graph.n - 2:
+            raise HypothesisUnmet(
+                f"edge ({i},{j},{sign}) does not touch vertices 1..{graph.n - 2}"
+            )
+    slots = graph.edge_slots()
+    d_pos = tuple(slots.index(d) for d in distinguished_edges(graph.n))
+    return _Layout(
+        h=h,
+        h_pos=tuple(p for p in range(len(slots)) if p not in d_pos),
+        d_pos=d_pos,
+        roots=tuple(
+            tuple((k, cf) for k, cf in enumerate(root_of_edge(*s, h.n_plus_1)) if cf)
+            for s in h.edge_slots()
+        ),
+    )
 
 
-def _partial_stats(
-    h: SignedMultigraph, values: Sequence[int]
-) -> tuple[tuple[int, int, int], int]:
-    n = h.n
-    top = (n - 1, n, n + 1)
-    inflow = {v: 0 for v in top}
-    y_pos = 0
-    for (i, j, sign), b in zip(h.edge_slots(), values):
-        if sign == POS:
-            y_pos += b
-        if j in top and i < j:
-            inflow[j] += b if sign == NEG else -b
-    return (inflow[top[0]], inflow[top[1]], inflow[top[2]]), y_pos
+def _partial_flow(
+    layout: _Layout, values: Sequence[int]
+) -> tuple[PartialFlow, list[int]]:
+    """An H-flow with its statistics, and its netflow on 1..n-2, from its
+    root combination.  Negative roots sum to 0 and positive ones (loops
+    included) to 2, hence ``y_pos``."""
+    acc = [0] * layout.h.n_plus_1
+    for entries, b in zip(layout.roots, values):
+        if b:
+            for k, cf in entries:
+                acc[k] += cf * b
+    inflows = (-acc[-3], -acc[-2], -acc[-1])
+    return PartialFlow(tuple(values), inflows, sum(acc) // 2), acc[:-3]
+
+
+def _fiber_layout(
+    graph: SignedMultigraph, pf: PartialFlow, a: Sequence[int]
+) -> _Layout:
+    """G's layout, once ``a`` is a netflow for G and ``pf`` a partial flow
+    for (graph, a) with its own statistics; one pass over H's slots."""
+    _check_netflow(graph, a)
+    layout = _fibration(graph)
+    if len(pf.values) != len(layout.h_pos):
+        raise DimensionMismatch(
+            f"partial flow has length {len(pf.values)}, H has {len(layout.h_pos)} edge copies"
+        )
+    if any(not _is_int(b) or b < 0 for b in pf.values):
+        raise InvalidFlow("partial flow entries must be nonnegative integers")
+    own, head = _partial_flow(layout, pf.values)
+    if (own.inflows, own.y_pos) != (pf.inflows, pf.y_pos):
+        raise InvalidFlow(
+            f"partial flow has Y = {own.inflows}, y_pos = {own.y_pos}, not "
+            f"{pf.inflows}, {pf.y_pos}"
+        )
+    feasible, y = _positive_target(graph, a)
+    if head != list(a[:-3]) or not feasible or own.y_pos != (y or 0):
+        raise InvalidFlow("partial flow does not match the netflow")
+    return layout
 
 
 def enumerate_partial_flows(
@@ -218,38 +201,23 @@ def enumerate_partial_flows(
     list is empty for them.
     """
     _check_netflow(graph, a)
-    _require_hypothesis(graph)
+    layout = _fibration(graph)
     feasible, y_target = _positive_target(graph, a)
     if not feasible:
         return []
-    h = strip_distinguished(graph)
-    out = []
-    for values in _iter_partial_values(h, a, y_target):
-        inflows, y_pos = _partial_stats(h, values)
-        out.append(PartialFlow(values=values, inflows=inflows, y_pos=y_pos))
-    return out
+    walk = _walk(layout.h, a, graph.n_plus_1 - 3, y_target)
+    return [_partial_flow(layout, values)[0] for values in walk]
 
 
-def _merge_values(
-    target: SignedMultigraph,
-    sub: SignedMultigraph,
-    sub_values: Sequence[int],
-    special: dict[tuple[int, int, str], int],
-) -> FlowVector:
-    """Lay sub's slot values onto target's slots, filling the remaining
-    (distinguished) slots from ``special``."""
-    sub_slots = sub.edge_slots()
-    merged: list[int] = []
-    pos = 0
-    for slot in target.edge_slots():
-        if pos < len(sub_slots) and sub_slots[pos] == slot:
-            merged.append(sub_values[pos])
-            pos += 1
-        else:
-            merged.append(special[slot])
-    if pos != len(sub_slots):  # pragma: no cover - guarded by hypothesis
-        raise RuntimeError("edge slots failed to align during extension")
-    return tuple(merged)
+def _member(
+    layout: _Layout, values: Sequence[int], special: tuple[int, int, int]
+) -> list[int]:
+    """A G-slot vector: ``values`` on H's slots, ``special`` on the
+    distinguished ones (n-1, n), (n-1, n+1), (n, n+1)."""
+    member = [0] * (len(values) + 3)
+    for p, b in zip(layout.h_pos + layout.d_pos, (*values, *special)):
+        member[p] = b
+    return member
 
 
 def extend_unique(
@@ -262,21 +230,21 @@ def extend_unique(
     graphs this happens inside the stated netflow domain, on its band
     ``y = min(a_{n-1}, a_n) + 1`` (4 of the 9 partial flows of the nine-edge
     witness at netflow (2, 0, 0, 0)); for ``y <= min(a_{n-1}, a_n)`` every
-    partial flow extends.
+    partial flow extends.  A ``pf`` that is not a partial flow for
+    (graph, a) raises :class:`DimensionMismatch` or :class:`InvalidFlow`.
     """
-    _check_netflow(graph, a)
-    _require_hypothesis(graph)
+    layout = _fiber_layout(graph, pf, a)
     n = graph.n
-    d1, d2, d3 = distinguished_edges(n)
+    _, d2, d3 = distinguished_edges(n)
     b_left = pf.inflows[0] + a[n - 2]
     b_right = pf.inflows[1] + a[n - 1]
     if b_left < 0 or b_right < 0:
         raise NegativeExtension(
             f"extension needs b{d2} = {b_left}, b{d3} = {b_right}"
         )
-    reduced = delete_edges(graph, [d1])
-    h = strip_distinguished(graph)
-    return _merge_values(reduced, h, pf.values, {d2: b_left, d3: b_right})
+    member = _member(layout, pf.values, (0, b_left, b_right))
+    del member[layout.d_pos[0]]  # G - (n-1, n) has G's slots without this one
+    return tuple(member)
 
 
 def extend_with_index(
@@ -288,22 +256,19 @@ def extend_with_index(
     ``pf`` has ``Y_{n-1}+a_{n-1}+1`` members.  Raises
     :class:`IndexOutOfRange` outside that range and
     :class:`NegativeExtension` when the forced value at (n, n+1) would be
-    negative (possible on mixed-sign graphs when ``y > a_n``).
+    negative (possible on mixed-sign graphs when ``y > a_n``).  A ``pf``
+    that is not a partial flow for (graph, a) raises
+    :class:`DimensionMismatch` or :class:`InvalidFlow`.
     """
-    _check_netflow(graph, a)
-    _require_hypothesis(graph)
+    layout = _fiber_layout(graph, pf, a)
     n = graph.n
-    d1, d2, d3 = distinguished_edges(n)
     cap = pf.inflows[0] + a[n - 2]
     if not 0 <= k <= cap:
         raise IndexOutOfRange(f"index {k} outside fiber range 0..{cap}")
     b_last = pf.inflows[1] + a[n - 1] + k
     if b_last < 0:
-        raise NegativeExtension(f"extension needs b{d3} = {b_last}")
-    h = strip_distinguished(graph)
-    return _merge_values(
-        graph, h, pf.values, {d1: k, d2: cap - k, d3: b_last}
-    )
+        raise NegativeExtension(f"extension needs b{distinguished_edges(n)[2]} = {b_last}")
+    return tuple(_member(layout, pf.values, (k, cap - k, b_last)))
 
 
 def decompose(
@@ -314,22 +279,11 @@ def decompose(
     Inverse of :func:`extend_with_index` in both directions.
     """
     _check_netflow(graph, a)
-    _require_hypothesis(graph)
+    layout = _fibration(graph)
     if not check_flow(graph, f, a):
         raise InvalidFlow("vector fails flow conservation for this netflow")
-    n = graph.n
-    specials = set(distinguished_edges(n))
-    k = None
-    h_values: list[int] = []
-    for slot, b in zip(graph.edge_slots(), f):
-        if slot in specials:
-            if slot == (n - 1, n, NEG):
-                k = b
-        else:
-            h_values.append(b)
-    h = strip_distinguished(graph)
-    inflows, y_pos = _partial_stats(h, h_values)
-    return PartialFlow(values=tuple(h_values), inflows=inflows, y_pos=y_pos), k
+    pf, _ = _partial_flow(layout, [f[p] for p in layout.h_pos])
+    return pf, f[layout.d_pos[0]]
 
 
 def materialize_fiber(
@@ -339,19 +293,21 @@ def materialize_fiber(
 
     The members of :func:`extend_with_index` for ``k = 0..Y_{n-1}+a_{n-1}``
     whose forced value at (n, n+1) is nonnegative, in order of k.  The
-    hypothesis is checked and H built once per fiber, not once per member.
+    hypothesis check, H and the slot layout come from the per-graph
+    :func:`_fibration`, and ``pf`` is validated once per fiber, as in
+    :func:`extend_with_index`.
     """
-    _check_netflow(graph, a)
-    _require_hypothesis(graph)
+    layout = _fiber_layout(graph, pf, a)
     n = graph.n
-    d1, d2, d3 = distinguished_edges(n)
     cap = pf.inflows[0] + a[n - 2]
     right = pf.inflows[1] + a[n - 1]
-    h = strip_distinguished(graph)
-    return [
-        _merge_values(graph, h, pf.values, {d1: k, d2: cap - k, d3: right + k})
-        for k in range(max(0, -right), cap + 1)
-    ]
+    member = _member(layout, pf.values, (0, 0, 0))
+    p1, p2, p3 = layout.d_pos
+    out = []
+    for k in range(max(0, -right), cap + 1):
+        member[p1], member[p2], member[p3] = k, cap - k, right + k
+        out.append(tuple(member))
+    return out
 
 
 def count_via_partial(
@@ -380,12 +336,10 @@ def count_via_partial(
     returned ``total`` is always the flow count on G.
     """
     _check_netflow(graph, a)
-    _require_hypothesis(graph)
+    h = _fibration(graph).h
     feasible, y = _positive_target(graph, a)
     if not feasible:
         return PartialCount(total=0, num_partial=0)
-    h = strip_distinguished(graph)
-    _require_head_edges(h)
     n = graph.n
     head = sum(a[: n - 1])  # a_1 + ... + a_{n-1}; L carries a_{n-1}
     a_right = a[n - 1]

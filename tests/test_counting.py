@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -15,11 +17,15 @@ from kpflows import (
     count,
     delete_edges,
     enumerate_flows,
+    enumerate_partial_flows,
     necessary_feasible_a,
+    root_multiset,
+    strip_distinguished,
+    Theorem,
     weight_bound,
 )
 
-from families import random_graph, random_netflow_a, random_netflow_c
+from families import identity_corpus, random_graph, random_netflow_a, random_netflow_c
 
 
 class TestCheckFlow:
@@ -184,6 +190,9 @@ class TestOracleAgreement:
             (build_graph(2, "C", [(1, 2, "+", 1)]), (3, -3)),
             (mixed, (2, -3, 0, 3)),
             (mixed, (3, -1, -1, 1)),
+            # one edge of multiplicity 1,500 plus the unit triangle: 3,000 flows
+            (build_graph(4, "A", [(1, 2, "-", 1500), (2, 3, "-", 1), (2, 4, "-", 1),
+                                  (3, 4, "-", 1)]), (1, 0, 0, -1)),
         ]
         for g, a in extreme:
             expected = brute_force_count(g, a)
@@ -228,3 +237,70 @@ class TestOracleAgreement:
                 continue
             assert count(g, a) == 0
             assert brute_force_count(g, a) == 0
+
+
+def _product_walk(graph, a, m):
+    """Reference enumerator sharing no code with the library's walk: every
+    slot vector in per-slot ranges, in itertools.product's (lexicographic)
+    order, whose root combination matches ``a`` on coordinates 1..m.
+
+    Under ``u_k = n+2-k`` on 1..m (0 above) each root here weighs >= 1, so a
+    slot of weight ``u . r`` carries at most ``(u . a) // (u . r)``."""
+    u = [graph.n_plus_1 - k if k < m else 0 for k in range(graph.n_plus_1)]
+    budget = sum(uk * ak for uk, ak in zip(u, a))
+    roots = root_multiset(graph)
+    ranges = [range(max(0, budget) // sum(uk * rk for uk, rk in zip(u, r)) + 1)
+              for r in roots]
+    if math.prod(map(len, ranges)) > 50_000:
+        return None
+    return [b for b in itertools.product(*ranges)
+            if all(sum(x * r[k] for x, r in zip(b, roots)) == a[k] for k in range(m))]
+
+
+class TestOrderAgainstProduct:
+    """The lexicographic order is a contract (``enumerate --limit`` truncates
+    by it), so compare whole lists, order included, with a brute product."""
+
+    def test_flows(self):
+        rng = random.Random(60606)
+        compared = nonempty = 0
+        while compared < 60:
+            kind = rng.choice(["A", "C"])
+            g = random_graph(rng, kind, rng.randint(2, 4), max_mult=3, density=0.8)
+            head = [rng.randint(-1, 3) for _ in range(g.n)]
+            last = -sum(head) if kind == "A" else 2 * rng.randint(0, 2) - sum(head)
+            if rng.random() < 0.2:  # now and then a netflow of the wrong total
+                last += rng.choice([-1, 1])
+            a = tuple(head) + (last,)
+            expected = _product_walk(g, a, g.n_plus_1)
+            if not g.edges or expected is None:
+                continue
+            assert enumerate_flows(g, a) == expected, (g, a)
+            assert all(check_flow(g, f, a) for f in expected)
+            compared += 1
+            nonempty += len(expected) > 1
+        assert nonempty >= 15
+
+    def test_partial_flows(self):
+        rng = random.Random(70707)
+        compared = nonempty = 0
+        for theorem in (Theorem.TYPE_A, Theorem.TYPE_C_NEGATIVE, Theorem.TYPE_C_MIXED):
+            for g, _ in identity_corpus(theorem, 60, seed0=900, sizes=(3, 4, 5),
+                                        max_mult=3, netflows_per_graph=1):
+                head = [rng.randint(-1, 3) for _ in range(g.n)]
+                y = rng.randint(0, 2)
+                last = -sum(head) if theorem is Theorem.TYPE_A else 2 * y - sum(head)
+                a = tuple(head) + (last,)
+                h = strip_distinguished(g)
+                expected = _product_walk(h, a, g.n_plus_1 - 3)
+                if expected is None:
+                    continue
+                if theorem is not Theorem.TYPE_A:  # pin the positive total
+                    positive = [sign == "+" for _, _, sign in h.edge_slots()]
+                    expected = [b for b in expected
+                                if sum(x for x, p in zip(b, positive) if p) == y]
+                got = [pf.values for pf in enumerate_partial_flows(g, a)]
+                assert got == expected, (g, a)
+                compared += 1
+                nonempty += len(expected) > 1
+        assert compared >= 60 and nonempty >= 15

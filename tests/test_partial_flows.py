@@ -9,6 +9,7 @@ from kpflows import (
     IndexOutOfRange,
     InvalidFlow,
     NegativeExtension,
+    PartialFlow,
     Theorem,
     applicable_theorem,
     brute_force_count,
@@ -140,6 +141,57 @@ class TestExtendWithIndex:
                 fiber = materialize_fiber(g, pf, a)
                 assert len(fiber) == pf.inflows[0] + a[g.n - 2] + 1
                 assert all(check_flow(g, f, a) for f in fiber)
+
+
+class TestPartialFlowValidation:
+    """The fiber functions take a PartialFlow from outside; one that is not a
+    partial flow for (graph, a) must raise, never yield a non-flow."""
+
+    FIBER_CALLS = (
+        lambda g, pf, a: materialize_fiber(g, pf, a),
+        lambda g, pf, a: extend_unique(g, pf, a),
+        lambda g, pf, a: extend_with_index(g, pf, a, 0),
+    )
+
+    def _assert_all_raise(self, error, g, pf, a):
+        for call in self.FIBER_CALLS:
+            with pytest.raises(error):
+                call(g, pf, a)
+
+    def test_wrong_length(self, k4):
+        a = (3, 1, 0, -4)
+        pf = _pf_by_values(enumerate_partial_flows(k4, a), (1, 1, 1))
+        for values in (pf.values + (7, 7), pf.values[:2], ()):
+            self._assert_all_raise(DimensionMismatch, k4, PartialFlow(
+                values, pf.inflows, pf.y_pos), a)
+
+    def test_negative_or_non_integer_entry(self, k4):
+        a = (3, 1, 0, -4)
+        # (4, -1, 0) matches a_1 = 3 and carries its own inflows
+        for values in ((4, -1, 0), (1.5, 1.5, 0), (True, 2, 0)):
+            pf = PartialFlow(values, (values[0], values[1], values[2]), 0)
+            self._assert_all_raise(InvalidFlow, k4, pf, a)
+
+    def test_statistics_must_match_values(self, k4, gc):
+        a = (3, 1, 0, -4)
+        pf = _pf_by_values(enumerate_partial_flows(k4, a), (1, 1, 1))
+        self._assert_all_raise(InvalidFlow, k4, PartialFlow(pf.values, (2, 0, 1), 0), a)
+        self._assert_all_raise(InvalidFlow, k4, PartialFlow(pf.values, pf.inflows, 1), a)
+        a = (4, 0, 0, -2)
+        pf = enumerate_partial_flows(gc, a)[0]
+        self._assert_all_raise(InvalidFlow, gc, PartialFlow(pf.values, pf.inflows, 0), a)
+
+    def test_values_must_match_netflow(self, k4, gc):
+        # a_1 = 3 is not met by a flow of 2 out of vertex 1
+        self._assert_all_raise(InvalidFlow, k4, PartialFlow((1, 1, 0), (1, 1, 0), 0),
+                               (3, 1, 0, -4))
+        # a partial flow for (k4, a) with a_1 = 3, paired with a total that is not 0
+        pf = PartialFlow((1, 1, 1), (1, 1, 1), 0)
+        self._assert_all_raise(InvalidFlow, k4, pf, (3, 1, 0, -3))
+        # type C: the positive total must be y = 1, here it is 0
+        h_values = (0, 4, 0, 0)  # slots of H: (1,1,+), (1,2,-), (1,3,-), (1,4,-)
+        self._assert_all_raise(InvalidFlow, gc, PartialFlow(h_values, (4, 0, 0), 0),
+                               (4, 0, 0, -2))
 
 
 class TestDecompose:
