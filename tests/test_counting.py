@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kpflows import (
     DimensionMismatch,
     LimitExceeded,
+    Theorem,
     brute_force_count,
     build_graph,
     catalan_graph,
@@ -21,7 +22,6 @@ from kpflows import (
     necessary_feasible_a,
     root_multiset,
     strip_distinguished,
-    Theorem,
     weight_bound,
 )
 
@@ -239,22 +239,20 @@ class TestOracleAgreement:
             assert brute_force_count(g, a) == 0
 
 
-def _product_walk(graph, a, m):
-    """Reference enumerator sharing no code with the library's walk: every
-    slot vector in per-slot ranges, in itertools.product's (lexicographic)
-    order, whose root combination matches ``a`` on coordinates 1..m.
+def _product(graph, a, m):
+    """Reference enumeration sharing no code with the library's walk: the
+    product of per-slot ranges, in itertools.product's (lexicographic) order,
+    or None when it has more than 50,000 vectors.
 
     Under ``u_k = n+2-k`` on 1..m (0 above) each root here weighs >= 1, so a
     slot of weight ``u . r`` carries at most ``(u . a) // (u . r)``."""
     u = [graph.n_plus_1 - k if k < m else 0 for k in range(graph.n_plus_1)]
-    budget = sum(uk * ak for uk, ak in zip(u, a))
-    roots = root_multiset(graph)
-    ranges = [range(max(0, budget) // sum(uk * rk for uk, rk in zip(u, r)) + 1)
-              for r in roots]
+    budget = max(0, sum(uk * ak for uk, ak in zip(u, a)))
+    ranges = [range(budget // sum(uk * rk for uk, rk in zip(u, r)) + 1)
+              for r in root_multiset(graph)]
     if math.prod(map(len, ranges)) > 50_000:
         return None
-    return [b for b in itertools.product(*ranges)
-            if all(sum(x * r[k] for x, r in zip(b, roots)) == a[k] for k in range(m))]
+    return itertools.product(*ranges)
 
 
 class TestOrderAgainstProduct:
@@ -272,11 +270,11 @@ class TestOrderAgainstProduct:
             if rng.random() < 0.2:  # now and then a netflow of the wrong total
                 last += rng.choice([-1, 1])
             a = tuple(head) + (last,)
-            expected = _product_walk(g, a, g.n_plus_1)
-            if not g.edges or expected is None:
+            candidates = _product(g, a, g.n_plus_1)
+            if not g.edges or candidates is None:
                 continue
+            expected = [b for b in candidates if check_flow(g, b, a)]
             assert enumerate_flows(g, a) == expected, (g, a)
-            assert all(check_flow(g, f, a) for f in expected)
             compared += 1
             nonempty += len(expected) > 1
         assert nonempty >= 15
@@ -291,14 +289,19 @@ class TestOrderAgainstProduct:
                 y = rng.randint(0, 2)
                 last = -sum(head) if theorem is Theorem.TYPE_A else 2 * y - sum(head)
                 a = tuple(head) + (last,)
-                h = strip_distinguished(g)
-                expected = _product_walk(h, a, g.n_plus_1 - 3)
-                if expected is None:
+                h, m = strip_distinguished(g), g.n_plus_1 - 3
+                candidates = _product(h, a, m)
+                if candidates is None:
                     continue
-                if theorem is not Theorem.TYPE_A:  # pin the positive total
-                    positive = [sign == "+" for _, _, sign in h.edge_slots()]
-                    expected = [b for b in expected
-                                if sum(x for x, p in zip(b, positive) if p) == y]
+                roots = root_multiset(h)
+                positive = [sign == "+" for _, _, sign in h.edge_slots()]
+                expected = [
+                    b for b in candidates
+                    if all(sum(x * r[k] for x, r in zip(b, roots)) == a[k] for k in range(m))
+                    # type C pins the positive total to y
+                    and (theorem is Theorem.TYPE_A
+                         or sum(x for x, p in zip(b, positive) if p) == y)
+                ]
                 got = [pf.values for pf in enumerate_partial_flows(g, a)]
                 assert got == expected, (g, a)
                 compared += 1
