@@ -29,6 +29,8 @@ G's edge copies.  Two independent algorithms are provided:
   the loop each state is packed into one integer, one biased digit per
   coordinate in a radix derived from ``sum|a_i|``, and each edge group is one
   precompiled integer delta; only the returned frontier is decoded to tuples.
+  States that have placed more positive flow than ``y = sum(a)/2`` (type C)
+  are cut, and after the last positive source the positive total must be y.
 
 All arithmetic is exact (Python integers); counts grow super-exponentially
 and must not be truncated.
@@ -41,7 +43,7 @@ from itertools import islice
 from math import comb
 
 from .errors import DimensionMismatch, LimitExceeded
-from .graphs import NEG, POS, GraphKind, SignedMultigraph, _is_int, root_of_edge
+from .graphs import NEG, POS, Edge, GraphKind, SignedMultigraph, _is_int, root_of_edge
 
 FlowVector = tuple[int, ...]
 
@@ -75,16 +77,16 @@ def weight_bound(graph: SignedMultigraph, a: Sequence[int]) -> int:
 
 
 def _conservation_holds(
-    graph: SignedMultigraph, f: Sequence[int], a: Sequence[int]
+    slots: Sequence[Edge], f: Sequence[int], a: Sequence[int]
 ) -> bool:
     """Vertex-local form: negative inflow + a_v equals positive inflow plus
     outflow plus twice the loop flow at v."""
-    n1 = graph.n_plus_1
+    n1 = len(a)
     neg_in = [0] * n1
     pos_in = [0] * n1
     out = [0] * n1
     loop = [0] * n1
-    for (i, j, sign), b in zip(graph.edge_slots(), f):
+    for (i, j, sign), b in zip(slots, f):
         if i == j:
             loop[i - 1] += b
         elif sign == NEG:
@@ -99,12 +101,12 @@ def _conservation_holds(
 
 
 def _combination_holds(
-    graph: SignedMultigraph, f: Sequence[int], a: Sequence[int]
+    slots: Sequence[Edge], f: Sequence[int], a: Sequence[int]
 ) -> bool:
     """Defining form: the b-weighted sum of edge roots equals ``a``."""
-    n1 = graph.n_plus_1
+    n1 = len(a)
     acc = [0] * n1
-    for (i, j, sign), b in zip(graph.edge_slots(), f):
+    for (i, j, sign), b in zip(slots, f):
         root = root_of_edge(i, j, sign, n1)
         acc[i - 1] += b * root[i - 1]
         if j != i:
@@ -127,8 +129,9 @@ def check_flow(
         )
     if any(not _is_int(b) or b < 0 for b in f):
         return False
-    by_vertex = _conservation_holds(graph, f, a)
-    by_roots = _combination_holds(graph, f, a)
+    slots = graph.edge_slots()
+    by_vertex = _conservation_holds(slots, f, a)
+    by_roots = _combination_holds(slots, f, a)
     if by_vertex != by_roots:  # pragma: no cover - internal consistency
         raise RuntimeError("flow-check formulations disagree; please report")
     return by_vertex
@@ -270,13 +273,38 @@ def _frontier(
     entering vertex v is the flat tuple ``(supply left at v, committed
     inflow of v+1, ..., of n+1)``, where the supply is ``a_v`` plus negative
     inflow minus positive inflow.  Each out-group ``(v, j, sign)`` of
-    multiplicity m sends ``t = 0..supply`` units into coordinate j in
-    ``comb(t+m-1, m-1)`` ways, and equal states merge; the last group of a
-    loopless vertex takes whatever is left.  Loops then drain the rest two
+    multiplicity m sends ``t = 0..supply`` units (fewer on a positive edge,
+    see below) into coordinate j in ``comb(t+m-1, m-1)`` ways, and equal
+    states merge; the last group of a loopless vertex takes whatever is
+    left.  Loops then drain the rest two
     units at a time (none may be left without loops).  States with negative
     supply die on arrival at vertices ``1..last``; the arrival at
     ``last+1``, the first coordinate of every returned state, is kept
     whatever its sign.  With ``last = n+1`` the only state is ``()``.
+
+    The positive-flow budget cuts the states that can reach no flow.  Let
+    ``Phi`` be the sum of a state's coordinates plus ``a_{v+1} + ... +
+    a_{n+1}``, i.e. ``sum(a)`` minus twice the positive flow placed so far
+    (positive roots and loops sum to 2, negative roots to 0).  A negative
+    edge leaves Phi unchanged, a positive edge or a loop lowers it by 2 per
+    unit, and every flow ends at ``Phi = 0``; so a state with ``Phi < 0`` is
+    dead.  With v_p the last vertex with a positive out-edge or a loop:
+
+    - a positive out-group sends at most ``min(supply, Phi // 2)`` units,
+      since more would make Phi negative;
+    - a closing positive group sending the rest dies if ``2*rest > Phi``,
+      for the same reason;
+    - loops draining the rest die if ``rest > Phi``, for the same reason;
+    - nothing after the last positive group of v_p (or after its loops)
+      changes Phi, so there Phi must already be 0: that group sends exactly
+      ``Phi / 2`` units, and every state from the close of v_p on has
+      ``Phi = 0``; without any positive source Phi never moves, and the
+      frontier is empty unless ``sum(a) = 0``.
+
+    Negative groups check nothing, so type A counts do no extra work.  The
+    returned frontier at ``last`` therefore holds only states from which
+    the remaining positive edges can still bring Phi to 0; from ``last >=
+    v_p`` on that is exactly ``Phi = 0``.
 
     Inside the loop a state is one integer: coordinate k (the supply is
     k = 0) is digit k in radix ``B = 2K+1``, stored as ``c_k + K`` with
@@ -295,21 +323,37 @@ def _frontier(
     So every committed coordinate and every supply inside a vertex is at
     most ``sum|a_i| < K`` in absolute value, and so is each arrival
     ``c + a_{v+1}``, including the one at ``last+1`` kept at any sign.
+
+    Phi is read off the key with one ``%``.  Since ``B = 2K+1 = 1 (mod
+    2K)``, ``key % 2K`` is the digit sum ``M + width*K`` mod 2K, where M is
+    the coordinate sum and width the number of digits (``n+2-v`` inside
+    vertex v).  The bound above gives ``|M| <= sum_k |c_k| <= a_1^+ + ... +
+    a_v^+ < K`` inside a vertex (its supply is nonnegative there), so
+    ``M = (key + off_v) % 2K - K`` exactly, with ``off_v = (K - width*K) %
+    2K`` compiled once per vertex, and ``Phi = M + a_{v+1} + ... +
+    a_{n+1}``.
     """
     n1 = graph.n_plus_1
     big = sum(abs(x) for x in a) + 1
-    radix = 2 * big + 1
-    out_groups: dict[int, list[tuple[int, int, list[int]]]] = {}
+    wrap = 2 * big
+    radix = wrap + 1
+    out_groups: dict[int, list[tuple[int, int, list[int], bool]]] = {}
     loop_mult: dict[int, int] = {}
-    for i, j, sign, m in graph.edges:
+    last_positive = 0  # v_p, the last vertex with a positive out-edge or loop
+    for i, j, sign, m in graph.edges:  # sorted by i; every loop is positive
+        positive = sign == POS
+        if positive:
+            last_positive = i
         if i == j:
             loop_mult[i] = loop_mult.get(i, 0) + m
         else:
-            step = 1 if sign == NEG else -1
             # weights[t] = comb(t+m-1, m-1), grown by _grow_weights on demand
             out_groups.setdefault(i, []).append(
-                (step * radix ** (j - i) - 1, m, [1])
+                ((-1 if positive else 1) * radix ** (j - i) - 1, m, [1], positive)
             )
+    tail = sum(a)  # a_{v+1} + ... + a_{n+1} once vertex v is entered
+    if not last_positive and tail:
+        return {}
 
     frontier: dict[int, int] = {}
     if a[0] >= 0 or last == 0:
@@ -319,15 +363,27 @@ def _frontier(
         groups = out_groups.get(v, ())
         loops = loop_mult.get(v, 0)
         supply = a[v] if v < n1 else 0
+        tail -= a[v - 1]
+        # Phi = (key + off) % 2K + base for a key of n1-v+1 digits
+        off = (big - (n1 - v + 1) * big) % wrap
+        base = tail - big
         # the last group of a loopless vertex takes the whole rest, which
         # leaves the supply digit at its bias, and closes the vertex at once
         closing = len(groups) - 1 if groups and not loops else -1
-        for idx, (delta, m, weights) in enumerate(groups):
+        # at v_p, Phi must reach 0 in its last positive group or its loops
+        exact = -1
+        if v == last_positive and not loops:
+            exact = max(k for k, g in enumerate(groups) if g[3])
+        for idx, (delta, m, weights, positive) in enumerate(groups):
             nxt: dict[int, int] = {}
             if idx == closing:
                 while frontier:
                     key, ways = frontier.popitem()
                     rem = key % radix - big
+                    if positive:
+                        phi = (key + off) % wrap + base - 2 * rem
+                        if phi < 0 or phi and idx == exact:
+                            continue
                     if m > 1:
                         if rem >= len(weights):
                             _grow_weights(weights, m, rem)
@@ -336,6 +392,26 @@ def _frontier(
                     if v < last and state % radix < big:  # negative arrival
                         continue
                     nxt[state] = nxt.get(state, 0) + ways
+            elif idx == exact:
+                while frontier:
+                    key, ways = frontier.popitem()
+                    t, odd = divmod((key + off) % wrap + base, 2)
+                    if odd or not 0 <= t <= key % radix - big:
+                        continue
+                    if t >= len(weights):
+                        _grow_weights(weights, m, t)
+                    state = key + t * delta
+                    nxt[state] = nxt.get(state, 0) + ways * weights[t]
+            elif positive:
+                while frontier:
+                    key, ways = frontier.popitem()
+                    top = min(key % radix - big, ((key + off) % wrap + base) // 2)
+                    if top >= len(weights):
+                        _grow_weights(weights, m, top)
+                    for state, w in zip(
+                        range(key, key + (top + 1) * delta, delta), weights
+                    ):
+                        nxt[state] = nxt.get(state, 0) + ways * w
             elif m > 1:
                 while frontier:
                     key, ways = frontier.popitem()
@@ -360,7 +436,8 @@ def _frontier(
             key, ways = frontier.popitem()
             rem = key % radix - big
             if loops:
-                if rem % 2:
+                phi = (key + off) % wrap + base - rem  # Phi after the loops
+                if rem % 2 or phi < 0 or phi and v == last_positive:
                     continue
                 ways *= comb(rem // 2 + loops - 1, loops - 1)
             elif rem:

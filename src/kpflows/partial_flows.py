@@ -328,8 +328,9 @@ def count_via_partial(
     frontier maps each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of
     partial flows with those inflows, so ``total = sum w*(L+1)`` and
     ``num_partial = sum w``.  On type C the positive total needs no state of
-    its own, because ``2*y_pos = a_1+...+a_{n-2} - (Y_{n-1}+Y_n+Y_{n+1})``;
-    states where that differs from ``2y`` are not partial flows.
+    its own: every H-edge leaves [n-2], so the last positive source is at
+    most n-2, and from its close on the DP keeps only the states whose
+    positive total is exactly y (see :func:`kpflows.counting._frontier`).
 
     With ``require_full=True`` a partial flow with ``L < 0`` or
     ``R = Y_n + a_n < 0`` raises :class:`NegativeExtension` instead, so a
@@ -337,16 +338,13 @@ def count_via_partial(
     """
     _check_netflow(graph, a)
     h = _fibration(graph).h
-    feasible, y = _positive_target(graph, a)
+    feasible, _ = _positive_target(graph, a)
     if not feasible:
         return PartialCount(total=0, num_partial=0)
     n = graph.n
-    head = sum(a[: n - 1])  # a_1 + ... + a_{n-1}; L carries a_{n-1}
     a_right = a[n - 1]
     total = num_partial = 0
     for (left, y_n, y_last), ways in _frontier(h, a, n - 2).items():
-        if y is not None and head - left - y_n - y_last != 2 * y:
-            continue
         if require_full and (left < 0 or y_n + a_right < 0):
             raise NegativeExtension(
                 f"{ways} partial flow(s) with Y = ({left - a[n - 2]}, {y_n}, "
