@@ -302,9 +302,8 @@ def _frontier(
       frontier is empty unless ``sum(a) = 0``.
 
     Negative groups check nothing, so type A counts do no extra work.  The
-    returned frontier at ``last`` therefore holds only states from which
-    the remaining positive edges can still bring Phi to 0; from ``last >=
-    v_p`` on that is exactly ``Phi = 0``.
+    cuts drop only states that lead to no flow, and every state returned
+    for ``last >= v_p`` has ``Phi = 0``.
 
     Inside the loop a state is one integer: coordinate k (the supply is
     k = 0) is digit k in radix ``B = 2K+1``, stored as ``c_k + K`` with

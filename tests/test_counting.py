@@ -24,6 +24,7 @@ from kpflows import (
     strip_distinguished,
     weight_bound,
 )
+from kpflows.counting import _frontier
 
 from families import identity_corpus, random_graph, random_netflow_a, random_netflow_c
 
@@ -121,6 +122,23 @@ class TestCount:
         with pytest.raises(DimensionMismatch):
             brute_force_count(g3, (1, False, -1))
 
+    def test_frontier_keeps_only_the_positive_budget(self, mixed_no_loop):
+        # Phi = sum(a) - 2 * (positive flow so far) is the returned state's
+        # coordinate sum plus a_{v+2} + ... + a_{n+1}; it never rises and
+        # every flow ends at Phi = 0
+        a = (2, 0, 0, 0)
+        last_positive = 1  # the last vertex with a positive out-edge
+        for v in range(mixed_no_loop.n_plus_1 + 1):
+            frontier = _frontier(mixed_no_loop, a, v)
+            assert frontier
+            for state in frontier:
+                phi = sum(state) + sum(a[v + 1:])
+                if v >= last_positive:
+                    assert phi == 0, (v, state)
+                else:
+                    assert phi >= 0, (v, state)
+        assert _frontier(mixed_no_loop, a, mixed_no_loop.n_plus_1) == {(): 7}
+
     def test_single_vertex_loop(self):
         g = build_graph(1, "C", [(1, 1, "+", 1)])
         assert count(g, (4,)) == 1
@@ -193,6 +211,22 @@ class TestOracleAgreement:
             # one edge of multiplicity 1,500 plus the unit triangle: 3,000 flows
             (build_graph(4, "A", [(1, 2, "-", 1500), (2, 3, "-", 1), (2, 4, "-", 1),
                                   (3, 4, "-", 1)]), (1, 0, 0, -1)),
+            # type C positive-flow budget: y = 0 with positive supplies
+            (build_graph(3, "C", [(1, 2, "-", 1), (1, 2, "+", 1), (1, 3, "-", 2),
+                                  (1, 3, "+", 1), (2, 3, "-", 1), (2, 3, "+", 1)]),
+             (2, 1, -3)),
+            # no positive edge and sum(a) > 0: no flow
+            (build_graph(3, "C", [(1, 2, "-", 2), (1, 3, "-", 1), (2, 3, "-", 1)]),
+             (2, 1, 1)),
+            # a loop on the last positive source
+            (build_graph(4, "C", [(1, 2, "+", 1), (1, 3, "-", 1), (2, 2, "+", 2),
+                                  (2, 3, "-", 1), (2, 4, "-", 1), (3, 4, "-", 1)]),
+             (2, 3, 1, -2)),
+            # positive edges into n+1
+            (build_graph(3, "C", [(1, 2, "-", 1), (1, 3, "+", 2), (2, 3, "-", 1),
+                                  (2, 3, "+", 1)]), (3, 1, 0)),
+            (build_graph(4, "C", [(1, 2, "-", 1), (1, 4, "+", 2), (2, 3, "-", 1),
+                                  (2, 4, "-", 1), (3, 4, "+", 1)]), (3, 1, 2, -2)),
         ]
         for g, a in extreme:
             expected = brute_force_count(g, a)
