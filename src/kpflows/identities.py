@@ -13,6 +13,11 @@ with c = p/q in lowest terms,
     p * lhs == (q * T + p * (a_{n-1} + 1)) * rhs,
 
 T being S (type A) or S - 2y (type C).  No division ever happens.
+
+Both variants run one verification path, ``_verify``, the only place where
+the two counts are taken.  The hypothesis and G - (n-1, n) are read once
+per graph and theorem (``_hypothesis``), so the netflows of a campaign share
+them with the generator's own check.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -55,12 +61,12 @@ class IdentityReport:
     theorem: Theorem
     hypothesis: BVCondition
     skipped: bool
-    reason: str | None
-    y: int | None
-    lhs_count: int | None
-    rhs_count: int | None
-    multiplier: Fraction | None
-    verdict: bool | None
+    reason: str | None = None
+    y: int | None = None
+    lhs_count: int | None = None
+    rhs_count: int | None = None
+    multiplier: Fraction | None = None
+    verdict: bool | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -72,82 +78,75 @@ class IdentityReport:
         return None if self.multiplier is None else self.multiplier.denominator
 
 
-def _skip(
-    theorem: Theorem,
-    hypothesis: BVCondition,
-    reason: str,
-    y: int | None,
-    notes: tuple[str, ...],
+@lru_cache(maxsize=16)
+def _hypothesis(
+    graph: SignedMultigraph, theorem: Theorem
+) -> tuple[BVCondition, SignedMultigraph | None]:
+    """The hypothesis and, where it holds, G - (n-1, n); once per graph and
+    theorem, since a campaign checks several netflows on each graph.  Where
+    it fails, (n-1, n) may be missing and G - (n-1, n) is not built."""
+    cond = bv_hypothesis(graph, theorem)
+    if not cond.satisfied:
+        return cond, None
+    n = graph.n
+    return cond, delete_edges(graph, [(n - 1, n, NEG)])
+
+
+def _verify(
+    graph: SignedMultigraph, a: Sequence[int], theorem: Theorem, counter: Counter
 ) -> IdentityReport:
+    """The one verification path behind :func:`verify_identity_a` and
+    :func:`verify_identity_c`.  The first skip reason wins: odd, then
+    negative coordinate sum (type C only), hypothesis failure, then the
+    mixed-sign bound on y."""
+    _check_netflow(graph, a)
+    n = graph.n
+    notes = ()
+    if any(x < 0 for x in a[:-1]):
+        notes = ("supplies a_1..a_n contain negative entries",)
+    type_c = theorem is not Theorem.TYPE_A
+    y = netflow_y(a) if type_c else None
+    cond, reduced = _hypothesis(graph, theorem)
+    reason = None
+    if type_c and y is None:
+        reason = "coordinate sum is odd"
+    elif type_c and y < 0:
+        reason = "coordinate sum is negative"
+    elif not cond.satisfied:
+        reason = "hypothesis not satisfied: " + "; ".join(cond.failures)
+    elif theorem is Theorem.TYPE_C_MIXED:
+        bound = min(a[n - 2] + 1, a[n - 1] + 1)
+        if y > bound:
+            reason = f"y={y} exceeds min(a_n-1+1, a_n+1)={bound}"
+    if reason is not None:
+        return IdentityReport(theorem, cond, skipped=True, reason=reason, y=y, notes=notes)
+    t = sum(a[: n - 2]) - (2 * y if type_c else 0)
+    lhs, rhs = counter(graph, a), counter(reduced, a)
+    p, q = (1, 0) if cond.c is None else (cond.c.numerator, cond.c.denominator)
+    mult_num = q * t + p * (a[n - 2] + 1)
     return IdentityReport(
-        theorem=theorem,
-        hypothesis=hypothesis,
-        skipped=True,
-        reason=reason,
+        theorem,
+        cond,
+        skipped=False,
         y=y,
-        lhs_count=None,
-        rhs_count=None,
-        multiplier=None,
-        verdict=None,
+        lhs_count=lhs,
+        rhs_count=rhs,
+        multiplier=Fraction(mult_num, p),
+        verdict=p * lhs == mult_num * rhs,
         notes=notes,
     )
-
-
-def _supply_notes(a: Sequence[int]) -> tuple[str, ...]:
-    if any(x < 0 for x in a[:-1]):
-        return ("supplies a_1..a_n contain negative entries",)
-    return ()
-
-
-def _cross_check(
-    graph: SignedMultigraph,
-    a: Sequence[int],
-    cond: BVCondition,
-    shifted_sum: int,
-    counter: Counter,
-) -> tuple[int, int, Fraction, bool]:
-    n = graph.n
-    lhs = counter(graph, a)
-    rhs = counter(delete_edges(graph, [(n - 1, n, NEG)]), a)
-    if cond.c is not None:
-        p, q = cond.c.numerator, cond.c.denominator
-    else:
-        p, q = 1, 0
-    mult_num = q * shifted_sum + p * (a[n - 2] + 1)
-    verdict = p * lhs == mult_num * rhs
-    return lhs, rhs, Fraction(mult_num, p), verdict
 
 
 def verify_identity_a(
     graph: SignedMultigraph, a: Sequence[int], counter: Counter = count
 ) -> IdentityReport:
-    """Check the type A identity on one instance; never raises on failure
-    modes, which are reported in the result instead."""
-    _check_netflow(graph, a)
-    cond = bv_hypothesis(graph, Theorem.TYPE_A)
-    notes = _supply_notes(a)
-    if not cond.satisfied:
-        return _skip(
-            Theorem.TYPE_A,
-            cond,
-            "hypothesis not satisfied: " + "; ".join(cond.failures),
-            None,
-            notes,
-        )
-    s = sum(a[: graph.n - 2])
-    lhs, rhs, multiplier, verdict = _cross_check(graph, a, cond, s, counter)
-    return IdentityReport(
-        theorem=Theorem.TYPE_A,
-        hypothesis=cond,
-        skipped=False,
-        reason=None,
-        y=None,
-        lhs_count=lhs,
-        rhs_count=rhs,
-        multiplier=multiplier,
-        verdict=verdict,
-        notes=notes,
-    )
+    """Check the type A identity on one instance.
+
+    A malformed netflow (wrong length, a non-integer or boolean entry)
+    raises :class:`DimensionMismatch`; every other failure mode, such as an
+    unmet hypothesis, is reported in the result instead of raised.
+    """
+    return _verify(graph, a, Theorem.TYPE_A, counter)
 
 
 def verify_identity_c(
@@ -164,43 +163,7 @@ def verify_identity_c(
     theorem = Theorem(theorem)
     if theorem is Theorem.TYPE_A:
         raise ValueError("use verify_identity_a for the type A identity")
-    _check_netflow(graph, a)
-    cond = bv_hypothesis(graph, theorem)
-    notes = _supply_notes(a)
-    y = netflow_y(a)
-    if y is None:
-        return _skip(theorem, cond, "coordinate sum is odd", None, notes)
-    if y < 0:
-        return _skip(theorem, cond, "coordinate sum is negative", y, notes)
-    if not cond.satisfied:
-        return _skip(
-            theorem,
-            cond,
-            "hypothesis not satisfied: " + "; ".join(cond.failures),
-            y,
-            notes,
-        )
-    n = graph.n
-    if theorem is Theorem.TYPE_C_MIXED:
-        bound = min(a[n - 2] + 1, a[n - 1] + 1)
-        if y > bound:
-            return _skip(
-                theorem, cond, f"y={y} exceeds min(a_n-1+1, a_n+1)={bound}", y, notes
-            )
-    t = sum(a[: n - 2]) - 2 * y
-    lhs, rhs, multiplier, verdict = _cross_check(graph, a, cond, t, counter)
-    return IdentityReport(
-        theorem=theorem,
-        hypothesis=cond,
-        skipped=False,
-        reason=None,
-        y=y,
-        lhs_count=lhs,
-        rhs_count=rhs,
-        multiplier=multiplier,
-        verdict=verdict,
-        notes=notes,
-    )
+    return _verify(graph, a, theorem, counter)
 
 
 def report_json_dict(report: IdentityReport) -> dict:
@@ -315,7 +278,7 @@ def generate_bv_family(
                 if rng.random() < 0.2:
                     add(edges, i, i, POS, rng.randint(1, max_mult))
         graph = assemble(edges)
-        if is_connected(graph) and bv_hypothesis(graph, theorem).satisfied:
+        if is_connected(graph) and _hypothesis(graph, theorem)[0].satisfied:
             return graph
 
     # fallback: every row nonzero ties each early vertex to the top triangle
@@ -328,7 +291,6 @@ def generate_bv_family(
         add(edges, j, top[1], NEG, half)
         add(edges, j, top[2], NEG, (p - q) - half)
     graph = assemble(edges)
-    cond = bv_hypothesis(graph, theorem)
-    if not cond.satisfied:  # pragma: no cover - construction guarantees this
+    if not _hypothesis(graph, theorem)[0].satisfied:  # pragma: no cover - construction guarantees this
         raise RuntimeError("generator fallback violated its own hypothesis")
     return graph

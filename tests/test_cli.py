@@ -186,6 +186,21 @@ class TestInputErrors:
         code, _, err = _run(capsys, ["count", "--graph", g3_path, "--a", "[1,0.5,-1]"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["count"], ["enumerate"], ["verify", "--theorem", "a"], ["witness"],
+    ])
+    @pytest.mark.parametrize("a", [
+        "[1,0,0,-1]",  # wrong length
+        "[1,0.5,-1]",  # non-integer
+        "[1,true,-2]",  # boolean
+        "[1,\"0\",-1]",  # string entry
+        "5", "{\"a\": [1,0,-1]}", "\"1,0,-1\"",  # not an array
+    ])
+    def test_malformed_netflow_every_command(self, capsys, g3_path, command, a):
+        code, out, err = _run(capsys, command + ["--graph", g3_path, "--a", a])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_full_list(self, capsys, g3_path):

@@ -235,6 +235,84 @@ class TestGenerator:
             generate_bv_family(4, "A", Theorem.TYPE_C_NEGATIVE, 1, 0)
 
 
+NEG_NOTE = ("supplies a_1..a_n contain negative entries",)
+C3 = {"num": 3, "den": 1}
+
+
+@pytest.fixture
+def fat_k4(k4):
+    """k4 with a second copy of the distinguished edge (2,3)."""
+    return build_graph(4, "A", [(i, j, s, m) for i, j, s, m in k4.edges] + [(2, 3, "-", 1)])
+
+
+def _json(theorem, satisfied, skipped, reason, c, y, lhs=None, rhs=None, mult=None,
+          verdict=None):
+    return {
+        "theorem": theorem, "satisfied": satisfied, "skipped": skipped, "reason": reason,
+        "c": c, "y": y, "lhs": lhs, "rhs": rhs,
+        "multiplier": None if mult is None else {"num": mult[0], "den": mult[1]},
+        "verdict": verdict,
+    }
+
+
+# (graph fixture, theorem, netflow, full report_json_dict, notes): one row per
+# path through the verifier, in the order its skip reasons are tried.
+VERIFIER_PATHS = [
+    ("fat_k4", "a", (3, 1, 0, -4),
+     _json("a", False, True, "hypothesis not satisfied: multiplicity of (2,3,-) is 2, "
+           "expected 1", None, None), ()),
+    ("k4", "a", (3, 1, 0, -4), _json("a", True, False, None, C3, None, "30", "10", (3, 1),
+                                     True), ()),
+    ("k4", "a", (1, 1, 1, 1), _json("a", True, False, None, C3, None, "0", "0", (7, 3),
+                                    True), ()),
+    ("k4", "a", (1, -2, 1, 0), _json("a", True, False, None, C3, None, "0", "0", (-2, 3),
+                                     True), NEG_NOTE),
+    ("gc", "c31", (4, 0, 0, -1), _json("c31", True, True, "coordinate sum is odd", C3, None),
+     ()),
+    ("gc", "c31", (0, 0, 0, -2),
+     _json("c31", True, True, "coordinate sum is negative", C3, -1), ()),
+    ("gc_mixed", "c31", (2, 2, 2, -4),
+     _json("c31", False, True, "hypothesis not satisfied: "
+           "positive edge (1,2) touches one of vertices (2, 3, 4); "
+           "positive edge (1,3) touches one of vertices (2, 3, 4); "
+           "positive edge (1,4) touches one of vertices (2, 3, 4)", None, 1), ()),
+    ("gc_mixed", "c32", (1, 1, 1, 3),
+     _json("c32", True, True, "y=3 exceeds min(a_n-1+1, a_n+1)=2", C3, 3), ()),
+    ("gc_mixed", "c32", (2, -1, 2, -1),
+     _json("c32", True, True, "y=1 exceeds min(a_n-1+1, a_n+1)=0", C3, 1), NEG_NOTE),
+    ("mixed_no_loop", "c32", (2, 0, 0, 0),
+     _json("c32", True, False, None, C3, 1, "7", "5", (1, 1), False), ()),
+    ("gc", "c31", (4, 0, 0, -2), _json("c31", True, False, None, C3, 1, "10", "6", (5, 3),
+                                       True), ()),
+]
+
+
+def _verify(graph, theorem, a):
+    theorem = Theorem(theorem)
+    if theorem is Theorem.TYPE_A:
+        return verify_identity_a(graph, a)
+    return verify_identity_c(graph, a, theorem)
+
+
+@pytest.mark.parametrize("fixture,theorem,a,expected,notes", VERIFIER_PATHS)
+def test_every_verifier_path_exactly(request, fixture, theorem, a, expected, notes):
+    rep = _verify(request.getfixturevalue(fixture), theorem, a)
+    assert report_json_dict(rep) == expected
+    assert rep.notes == notes
+
+
+def test_hypothesis_read_per_graph_and_theorem(gc_mixed):
+    # gc_mixed fails the all-negative hypothesis (a positive edge touches the
+    # top) and satisfies the mixed one; the same graph under both theorems
+    # must never share a hypothesis reading
+    a = (2, 2, 2, -4)
+    fresh = build_graph(4, "C", list(reversed(gc_mixed.edges)))
+    for theorem, skipped in (("c31", True), ("c32", False), ("c31", True)):
+        rep = _verify(gc_mixed, theorem, a)
+        assert rep.skipped is skipped
+        assert rep == _verify(fresh, theorem, a)
+
+
 class TestReportJson:
     def test_schema_fields_and_order(self, k4):
         d = report_json_dict(verify_identity_a(k4, (3, 1, 0, -4)))
