@@ -143,8 +143,8 @@ def verify_identity_a(
     """Check the type A identity on one instance.
 
     A malformed netflow (wrong length, a non-integer or boolean entry)
-    raises :class:`DimensionMismatch`; every other failure mode, such as an
-    unmet hypothesis, is reported in the result instead of raised.
+    raises :class:`DimensionMismatch`, and a graph on fewer than 3 vertices
+    ``ValueError``; an unmet hypothesis is reported in the result instead.
     """
     return _verify(graph, a, Theorem.TYPE_A, counter)
 

@@ -245,6 +245,12 @@ def fat_k4(k4):
     return build_graph(4, "A", [(i, j, s, m) for i, j, s, m in k4.edges] + [(2, 3, "-", 1)])
 
 
+@pytest.fixture
+def fat_gc_mixed(gc_mixed):
+    """gc_mixed with a second copy of the distinguished edge (2,3)."""
+    return build_graph(4, "C", [(i, j, s, m) for i, j, s, m in gc_mixed.edges] + [(2, 3, "-", 1)])
+
+
 def _json(theorem, satisfied, skipped, reason, c, y, lhs=None, rhs=None, mult=None,
           verdict=None):
     return {
@@ -256,7 +262,8 @@ def _json(theorem, satisfied, skipped, reason, c, y, lhs=None, rhs=None, mult=No
 
 
 # (graph fixture, theorem, netflow, full report_json_dict, notes): one row per
-# path through the verifier, in the order its skip reasons are tried.
+# path through the verifier; where two skip reasons apply, the first in the
+# order odd sum, negative sum, hypothesis, mixed-sign bound must win.
 VERIFIER_PATHS = [
     ("fat_k4", "a", (3, 1, 0, -4),
      _json("a", False, True, "hypothesis not satisfied: multiplicity of (2,3,-) is 2, "
@@ -276,6 +283,13 @@ VERIFIER_PATHS = [
            "positive edge (1,2) touches one of vertices (2, 3, 4); "
            "positive edge (1,3) touches one of vertices (2, 3, 4); "
            "positive edge (1,4) touches one of vertices (2, 3, 4)", None, 1), ()),
+    ("gc_mixed", "c31", (1, 0, 0, 0),
+     _json("c31", False, True, "coordinate sum is odd", None, None), ()),
+    ("gc_mixed", "c31", (0, 0, 0, -2),
+     _json("c31", False, True, "coordinate sum is negative", None, -1), ()),
+    ("fat_gc_mixed", "c32", (1, 1, 1, 3),
+     _json("c32", False, True, "hypothesis not satisfied: multiplicity of (2,3,-) is 2, "
+           "expected 1", None, 3), ()),
     ("gc_mixed", "c32", (1, 1, 1, 3),
      _json("c32", True, True, "y=3 exceeds min(a_n-1+1, a_n+1)=2", C3, 3), ()),
     ("gc_mixed", "c32", (2, -1, 2, -1),
@@ -287,7 +301,7 @@ VERIFIER_PATHS = [
 ]
 
 
-def _verify(graph, theorem, a):
+def _report(graph, theorem, a):
     theorem = Theorem(theorem)
     if theorem is Theorem.TYPE_A:
         return verify_identity_a(graph, a)
@@ -296,7 +310,7 @@ def _verify(graph, theorem, a):
 
 @pytest.mark.parametrize("fixture,theorem,a,expected,notes", VERIFIER_PATHS)
 def test_every_verifier_path_exactly(request, fixture, theorem, a, expected, notes):
-    rep = _verify(request.getfixturevalue(fixture), theorem, a)
+    rep = _report(request.getfixturevalue(fixture), theorem, a)
     assert report_json_dict(rep) == expected
     assert rep.notes == notes
 
@@ -308,9 +322,9 @@ def test_hypothesis_read_per_graph_and_theorem(gc_mixed):
     a = (2, 2, 2, -4)
     fresh = build_graph(4, "C", list(reversed(gc_mixed.edges)))
     for theorem, skipped in (("c31", True), ("c32", False), ("c31", True)):
-        rep = _verify(gc_mixed, theorem, a)
+        rep = _report(gc_mixed, theorem, a)
         assert rep.skipped is skipped
-        assert rep == _verify(fresh, theorem, a)
+        assert rep == _report(fresh, theorem, a)
 
 
 class TestReportJson:
