@@ -39,6 +39,7 @@ and must not be truncated.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from itertools import islice
 from math import comb
 
@@ -76,6 +77,20 @@ def weight_bound(graph: SignedMultigraph, a: Sequence[int]) -> int:
     return sum(wi * ai for wi, ai in zip(w, a))
 
 
+@lru_cache(maxsize=16)
+def _slot_table(
+    graph: SignedMultigraph,
+) -> tuple[tuple[Edge, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The edge slots in canonical order and, per slot, its root's nonzero
+    entries ``(k, cf)`` by 0-based coordinate; once per graph, since
+    :func:`check_flow` runs once per flow of a request."""
+    slots = graph.edge_slots()
+    return slots, tuple(
+        tuple((k, cf) for k, cf in enumerate(root_of_edge(*s, graph.n_plus_1)) if cf)
+        for s in slots
+    )
+
+
 def _conservation_holds(
     slots: Sequence[Edge], f: Sequence[int], a: Sequence[int]
 ) -> bool:
@@ -101,17 +116,14 @@ def _conservation_holds(
 
 
 def _combination_holds(
-    slots: Sequence[Edge], f: Sequence[int], a: Sequence[int]
+    roots: Sequence[tuple[tuple[int, int], ...]], f: Sequence[int], a: Sequence[int]
 ) -> bool:
     """Defining form: the b-weighted sum of edge roots equals ``a``."""
-    n1 = len(a)
-    acc = [0] * n1
-    for (i, j, sign), b in zip(slots, f):
-        root = root_of_edge(i, j, sign, n1)
-        acc[i - 1] += b * root[i - 1]
-        if j != i:
-            acc[j - 1] += b * root[j - 1]
-    return all(acc[v] == a[v] for v in range(n1))
+    acc = [0] * len(a)
+    for entries, b in zip(roots, f):
+        for k, cf in entries:
+            acc[k] += cf * b
+    return all(acc[v] == a[v] for v in range(len(a)))
 
 
 def check_flow(
@@ -129,9 +141,9 @@ def check_flow(
         )
     if any(not _is_int(b) or b < 0 for b in f):
         return False
-    slots = graph.edge_slots()
+    slots, roots = _slot_table(graph)
     by_vertex = _conservation_holds(slots, f, a)
-    by_roots = _combination_holds(slots, f, a)
+    by_roots = _combination_holds(roots, f, a)
     if by_vertex != by_roots:  # pragma: no cover - internal consistency
         raise RuntimeError("flow-check formulations disagree; please report")
     return by_vertex
@@ -155,17 +167,16 @@ def _walk(
     docstring as its prunes.
     """
     n1 = graph.n_plus_1
-    slots = graph.edge_slots()
+    slots, roots = _slot_table(graph)
     n_slots = len(slots)
     u = [n1 - k if k < m else 0 for k in range(n1)]
     left = sum(u[k] * a[k] for k in range(m))  # the budget, less what is set
     if left < 0:
         return
-    roots = [root_of_edge(i, j, sign, n1) for i, j, sign in slots]
-    entries = [tuple((k, cf) for k, cf in enumerate(r[:m]) if cf) for r in roots]
-    weight = [sum(cf * uk for cf, uk in zip(r, u)) for r in roots]
+    entries = [tuple((k, cf) for k, cf in r if k < m) for r in roots]
+    weight = [sum(cf * u[k] for k, cf in r) for r in roots]
     src = [i - 1 for i, _, _ in slots]
-    step = [r[s] for r, s in zip(roots, src)]  # the coefficient at the source
+    step = [r[0][1] for r in roots]  # the coefficient at the source, its first entry
     forced = [s != nxt for s, nxt in zip(src, src[1:] + [-1])]
     # the first slot out of a source checks that the coordinates since the
     # previous source are zero (that source's own was zeroed by its forced

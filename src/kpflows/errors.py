@@ -28,7 +28,8 @@ class LimitExceeded(KPFlowsError):
 
 
 class HypothesisUnmet(KPFlowsError):
-    """The structural hypothesis required by a partial-flow operation fails."""
+    """The structural hypothesis required by a partial-flow operation fails,
+    or the graph has too few vertices (under 3) for it to be checked."""
 
 
 class NegativeExtension(KPFlowsError):

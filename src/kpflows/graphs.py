@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import InvalidEdge, KindViolation, MissingEdge
+from .errors import HypothesisUnmet, InvalidEdge, KindViolation, MissingEdge
 
 NEG = "-"
 POS = "+"
@@ -65,8 +65,7 @@ def _edge_sort_key(slot: Edge) -> tuple[int, int, int]:
     return (i, j, _SIGN_KEY[sign])
 
 
-@dataclass(frozen=True)
-class SignedMultigraph:
+class SignedMultigraph(NamedTuple):
     """Immutable signed multigraph on vertices 1..n_plus_1.
 
     ``edges`` holds ``(i, j, sign, mult)`` entries with ``mult >= 1``, sorted
@@ -258,8 +257,7 @@ def is_connected(graph: SignedMultigraph) -> bool:
     return len(seen) == n1
 
 
-@dataclass(frozen=True)
-class BVCondition:
+class BVCondition(NamedTuple):
     """Outcome of the structural hypothesis check for one theorem variant.
 
     ``c`` is the exact common ratio shared by all nonzero rows, or ``None``
@@ -290,10 +288,12 @@ def bv_hypothesis(graph: SignedMultigraph, theorem: Theorem) -> BVCondition:
     edges, the sign restrictions of the variant, and that every nonzero row
     ``(m[j,n-1], m[j,n], m[j,n+1])`` for j in [n-2] (per sign where signs are
     mixed) shares the exact ratio ``(m1+m2+m3)/m1 = c``.  Rows that are all
-    zero are vacuous.  Nothing is raised; problems are reported as failures.
+    zero are vacuous.  Problems are reported as failures; only a graph on
+    fewer than 3 vertices, which has no last three vertices, raises
+    :class:`HypothesisUnmet`.
     """
     if graph.n_plus_1 < 3:
-        raise ValueError("hypothesis checks need at least 3 vertices")
+        raise HypothesisUnmet("hypothesis checks need at least 3 vertices")
     theorem = Theorem(theorem)
     n = graph.n
     top = (n - 1, n, n + 1)

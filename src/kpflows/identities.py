@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InfeasibleParams
 from .counting import _check_netflow, count
@@ -49,8 +49,7 @@ from .graphs import (
 Counter = Callable[[SignedMultigraph, Sequence[int]], int]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check.
 
     ``verdict`` is meaningful only when ``skipped`` is false.  ``multiplier``
@@ -144,7 +143,8 @@ def verify_identity_a(
 
     A malformed netflow (wrong length, a non-integer or boolean entry)
     raises :class:`DimensionMismatch`, and a graph on fewer than 3 vertices
-    ``ValueError``; an unmet hypothesis is reported in the result instead.
+    :class:`HypothesisUnmet`; an unmet hypothesis is reported in the result
+    instead.
     """
     return _verify(graph, a, Theorem.TYPE_A, counter)
 

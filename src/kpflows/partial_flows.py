@@ -41,7 +41,6 @@ once per graph by :func:`_fibration`.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -52,7 +51,7 @@ from .errors import (
     InvalidFlow,
     NegativeExtension,
 )
-from .counting import FlowVector, _check_netflow, _frontier, _walk, check_flow
+from .counting import FlowVector, _check_netflow, _frontier, _slot_table, _walk, check_flow
 from .graphs import (
     GraphKind,
     SignedMultigraph,
@@ -62,12 +61,10 @@ from .graphs import (
     delete_edges,
     distinguished_edges,
     netflow_y,
-    root_of_edge,
 )
 
 
-@dataclass(frozen=True)
-class PartialFlow:
+class PartialFlow(NamedTuple):
     """A flow on H with its inflow statistics.
 
     ``values`` indexes H's canonical edge slots; ``inflows`` holds the signed
@@ -144,10 +141,7 @@ def _fibration(graph: SignedMultigraph) -> _Layout:
         h=h,
         h_pos=tuple(p for p in range(len(slots)) if p not in d_pos),
         d_pos=d_pos,
-        roots=tuple(
-            tuple((k, cf) for k, cf in enumerate(root_of_edge(*s, h.n_plus_1)) if cf)
-            for s in h.edge_slots()
-        ),
+        roots=_slot_table(h)[1],
     )
 
 

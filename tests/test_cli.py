@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,16 @@ class TestWitness:
         code, _, _ = _run(capsys, ["witness", "--graph", str(p), "--a", "[1,0,0,-1]"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--theorem", "a"], ["verify", "--theorem", "c31"],
+        ["verify", "--theorem", "c32"], ["witness"], ["count", "--backend", "partial"],
+    ])
+    def test_two_vertices_exit_three(self, capsys, thick_edge_path, command):
+        # no last three vertices: the hypothesis is unmet, not a crash (exit 4)
+        code, out, err = _run(capsys, command + ["--graph", thick_edge_path, "--a", "[1,-1]"])
+        assert (code, out) == (3, "")
+        assert err.startswith("hypothesis not met: ") and err.count("\n") == 1
+
     def test_thick_edge(self, capsys, tmp_path):
         # 1,500 copies of (1,2): the partial-flow walk is one slot deep per copy
         p = tmp_path / "thick4.json"
@@ -399,3 +413,14 @@ class TestInternalError:
         monkeypatch.setitem(cli._DISPATCH, "count", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_cli(["count", "--graph", g3_path, "--a", "[1,0,-1]"])
+
+
+def test_import_floor():
+    """Every CLI call imports the package before it does anything, so the
+    package must not pull in ``dataclasses``, which loads ``inspect`` (and
+    with it ``ast``, ``dis`` and ``tokenize``)."""
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, kpflows.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

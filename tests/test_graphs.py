@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kpflows import (
     GraphKind,
+    HypothesisUnmet,
     InvalidEdge,
     KindViolation,
     MissingEdge,
@@ -249,7 +250,7 @@ class TestHypothesis:
         assert cond.satisfied and cond.c == Fraction(3, 2)
 
     def test_small_graph_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisUnmet):
             bv_hypothesis(build_graph(2, "A", [(1, 2, "-", 1)]), Theorem.TYPE_A)
 
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -280,7 +281,14 @@ class TestNetflowChecks:
 
 class TestJsonRoundTrip:
     def test_round_trip(self, gc_mixed):
-        assert SignedMultigraph.from_json_dict(gc_mixed.to_json_dict()) == gc_mixed
+        back = SignedMultigraph.from_json_dict(gc_mixed.to_json_dict())
+        assert back == gc_mixed and hash(back) == hash(gc_mixed)
+        assert repr(back).startswith(
+            "SignedMultigraph(n_plus_1=4, kind=<GraphKind.TYPE_C: 'C'>, "
+            "edges=((1, 1, '+', 1), (1, 2, '-', 1), (1, 2, '+', 1), "
+        )
+        with pytest.raises(AttributeError):
+            back.n_plus_1 = 5
 
     def test_kind_preserved(self, k4):
         d = k4.to_json_dict()

@@ -84,7 +84,16 @@ class TestVerifyTypeA:
         r1 = verify_identity_a(k4, (3, 1, 0, -4))
         shuffled = build_graph(4, "A", list(reversed([e for e in k4.edges])))
         r2 = verify_identity_a(shuffled, (3, 1, 0, -4))
-        assert r1 == r2
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert repr(r1).startswith(
+            "IdentityReport(theorem=<Theorem.TYPE_A: 'a'>, hypothesis=BVCondition("
+            "theorem=<Theorem.TYPE_A: 'a'>, satisfied=True, c=Fraction(3, 1), "
+            "failures=()), skipped=False, reason=None, y=None, lhs_count=30, "
+        )
+        with pytest.raises(AttributeError):
+            r1.verdict = False
+        with pytest.raises(AttributeError):
+            r1.hypothesis.c = None
 
 
 class TestVerifyTypeC:

@@ -50,6 +50,9 @@ class TestEnumeratePartialFlows:
         for pf in pfs:
             assert pf.inflows == (pf.values[0], pf.values[1], pf.values[2])
             assert pf.y_pos == 0
+        assert repr(pfs[0]) == "PartialFlow(values=(0, 0, 3), inflows=(0, 0, 3), y_pos=0)"
+        with pytest.raises(AttributeError):
+            pfs[0].y_pos = 1
 
     def test_triangle_single_empty(self, g3):
         pfs = enumerate_partial_flows(g3, (2, 3, -5))
