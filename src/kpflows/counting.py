@@ -78,17 +78,13 @@ def weight_bound(graph: SignedMultigraph, a: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=16)
-def _slot_table(
-    graph: SignedMultigraph,
-) -> tuple[tuple[Edge, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def _slot_table(graph: SignedMultigraph) -> tuple[tuple[Edge, ...], tuple[tuple, ...]]:
     """The edge slots in canonical order and, per slot, its root's nonzero
-    entries ``(k, cf)`` by 0-based coordinate; once per graph, since
-    :func:`check_flow` runs once per flow of a request."""
+    entries ``(k, cf)``, k 0-based; once per graph, since :func:`check_flow`
+    runs once per flow of a request."""
     slots = graph.edge_slots()
-    return slots, tuple(
-        tuple((k, cf) for k, cf in enumerate(root_of_edge(*s, graph.n_plus_1)) if cf)
-        for s in slots
-    )
+    roots = (root_of_edge(*s, graph.n_plus_1) for s in slots)
+    return slots, tuple(tuple((k, cf) for k, cf in enumerate(r) if cf) for r in roots)
 
 
 def _conservation_holds(

@@ -28,8 +28,7 @@ class LimitExceeded(KPFlowsError):
 
 
 class HypothesisUnmet(KPFlowsError):
-    """The structural hypothesis required by a partial-flow operation fails,
-    or the graph has too few vertices (under 3) for it to be checked."""
+    """The structural hypothesis needed by an operation fails or cannot be checked."""
 
 
 class NegativeExtension(KPFlowsError):

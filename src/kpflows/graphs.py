@@ -289,8 +289,7 @@ def bv_hypothesis(graph: SignedMultigraph, theorem: Theorem) -> BVCondition:
     ``(m[j,n-1], m[j,n], m[j,n+1])`` for j in [n-2] (per sign where signs are
     mixed) shares the exact ratio ``(m1+m2+m3)/m1 = c``.  Rows that are all
     zero are vacuous.  Problems are reported as failures; only a graph on
-    fewer than 3 vertices, which has no last three vertices, raises
-    :class:`HypothesisUnmet`.
+    fewer than 3 vertices raises :class:`HypothesisUnmet`.
     """
     if graph.n_plus_1 < 3:
         raise HypothesisUnmet("hypothesis checks need at least 3 vertices")

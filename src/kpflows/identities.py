@@ -142,9 +142,8 @@ def verify_identity_a(
     """Check the type A identity on one instance.
 
     A malformed netflow (wrong length, a non-integer or boolean entry)
-    raises :class:`DimensionMismatch`, and a graph on fewer than 3 vertices
-    :class:`HypothesisUnmet`; an unmet hypothesis is reported in the result
-    instead.
+    raises :class:`DimensionMismatch` and a graph on fewer than 3 vertices
+    :class:`HypothesisUnmet`; an unmet hypothesis is reported in the result.
     """
     return _verify(graph, a, Theorem.TYPE_A, counter)
 
