@@ -236,6 +236,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _InputError("--campaign does not take --graph/--a/--a-file")
     if args.campaign < 1:
         raise _InputError("--campaign needs a positive seed count")
+    if args.netflows_per_seed < 1:
+        raise _InputError("--netflows-per-seed needs a positive count")
+    if args.a_max < 0:
+        raise _InputError("--a-max must be at least 0")
     kind = GraphKind.TYPE_A if theorem is Theorem.TYPE_A else GraphKind.TYPE_C
     lines = []
     n_true = n_false = n_skip = 0

@@ -29,6 +29,8 @@ G's edge copies.  Two independent algorithms are provided:
   the loop each state is packed into one integer, one biased digit per
   coordinate in a radix derived from ``sum|a_i|``, and each edge group is one
   precompiled integer delta; only the returned frontier is decoded to tuples.
+  The frontier on entry to vertex n-1 is kept in a one-entry memo, so a count
+  of G - (n-1, n) after one of G with the same netflow resumes there.
   States that have placed more positive flow than ``y = sum(a)/2`` (type C)
   are cut, and after the last positive source the positive total must be y.
 
@@ -271,6 +273,11 @@ def _grow_weights(weights: list[int], m: int, top: int) -> None:
         weights.append(weights[-1] * (t + m - 1) // t)
 
 
+# (key, packed frontier on entry to vertex n-1) of the last _frontier call
+# that ran the layers of 1..n-2 for a count; rebound, never mutated
+_prefix_memo: tuple[object, dict[int, int]] = (None, {})
+
+
 def _frontier(
     graph: SignedMultigraph, a: Sequence[int], last: int
 ) -> dict[tuple[int, ...], int]:
@@ -338,15 +345,43 @@ def _frontier(
     ``M = (key + off_v) % 2K - K`` exactly, with ``off_v = (K - width*K) %
     2K`` compiled once per vertex, and ``Phi = M + a_{v+1} + ... +
     a_{n+1}``.
+
+    Each identity check counts G and then G - (n-1, n) with the same
+    netflow, and the two graphs differ only in one edge out of vertex n-1,
+    so their layers of vertices ``1..n-2`` are the same.  A call with ``last
+    > n-2 >= 1`` therefore keeps the packed frontier on entry to vertex n-1
+    in a one-entry memo, ``_prefix_memo``, and a later call with the same
+    key resumes there.  The key holds everything those layers read:
+
+    - ``a``: the radix, the bias, the supplies and the Phi offsets, and,
+      through its length ``n+1``, the number of digits;
+    - the edges out of ``1..n-2``, a prefix of the sorted ``graph.edges``:
+      the out-groups with their deltas and multiplicities, and the loops;
+    - v_p if ``v_p <= n-2``, else the marker n-1: those layers read v_p only
+      through ``v == v_p``, which no later v_p makes true.
+
+    Resuming is exact.  The layers of ``1..n-2`` are a function of the key
+    alone; for every ``last > n-2`` they drop the negative arrivals at n-1
+    alike, so the stored frontier does not depend on ``last``; and on entry
+    to vertex n-1 the remaining tail is ``a_{n-1} + a_n + a_{n+1}``.  A
+    call with ``last = n-2`` keeps negative arrivals at n-1 (the partial
+    backend's frontier), so it neither reads nor writes the memo; nor does
+    a graph on 3 vertices, which has no layer to share.  The memo is one
+    ``(key, frontier)`` pair rebound in one assignment and never mutated; a
+    hit copies the stored dict, because the loop pops from its frontier.
     """
+    global _prefix_memo
     n1 = graph.n_plus_1
+    split = n1 - 3  # vertex n-2
     big = sum(abs(x) for x in a) + 1
     wrap = 2 * big
     radix = wrap + 1
     out_groups: dict[int, list[tuple[int, int, list[int], bool]]] = {}
     loop_mult: dict[int, int] = {}
     last_positive = 0  # v_p, the last vertex with a positive out-edge or loop
+    shared = 0  # edges out of 1..n-2, a prefix of graph.edges
     for i, j, sign, m in graph.edges:  # sorted by i; every loop is positive
+        shared += i <= split
         positive = sign == POS
         if positive:
             last_positive = i
@@ -365,7 +400,18 @@ def _frontier(
     if a[0] >= 0 or last == 0:
         # every digit holds its bias K; the supply digit adds a_1
         frontier[big * (radix**n1 - 1) // (radix - 1) + a[0]] = 1
-    for v in range(1, last + 1):
+    start = 1
+    store = 0  # the vertex on whose entry a miss stores its frontier
+    if last > split >= 1:
+        memo_key = (tuple(a), graph.edges[:shared], min(last_positive, split + 1))
+        stored_key, stored = _prefix_memo
+        if stored_key == memo_key:
+            start, tail, frontier = split + 1, sum(a[split:]), dict(stored)
+        else:
+            store = split + 1
+    for v in range(start, last + 1):
+        if v == store:
+            _prefix_memo = (memo_key, dict(frontier))
         groups = out_groups.get(v, ())
         loops = loop_mult.get(v, 0)
         supply = a[v] if v < n1 else 0
@@ -476,6 +522,12 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     ways is the count.  There is no recursion, so a graph of any length is
     counted.  ``partial_flows.count_via_partial`` stops the same DP after
     vertex ``n-2`` and reads the partial-flow fibration off its frontier.
+
+    A count of G - (n-1, n) right after one of G with the same netflow, as
+    every identity check makes, resumes from G's frontier on entry to vertex
+    n-1 instead of re-running the layers of ``1..n-2``: they see no edge out
+    of n-1, and :func:`_frontier` keeps the last such frontier under a key
+    of everything they read, so the count is the same as a cold one.
     """
     _check_netflow(graph, a)
     total = sum(a)

@@ -166,29 +166,34 @@ def verify_identity_c(
 
 
 def report_json_dict(report: IdentityReport) -> dict:
-    """Stable-order JSON form of a report; big counts become decimal strings."""
-    if report.hypothesis.satisfied:
-        c = report.hypothesis.c
-        c_json: object = (
-            "unconstrained" if c is None else {"num": c.numerator, "den": c.denominator}
-        )
+    """Stable-order JSON form of a report; big counts become decimal strings.
+
+    The report and its hypothesis are unpacked once: a campaign serializes
+    hundreds of reports, and each ``NamedTuple`` field read is a descriptor
+    call where a tuple unpack is one step."""
+    theorem, hypothesis, skipped, reason, y, lhs, rhs, multiplier, verdict, _ = report
+    _, satisfied, c, _ = hypothesis
+    if not satisfied:
+        c_json: object = None
+    elif c is None:
+        c_json = "unconstrained"
     else:
-        c_json = None
+        c_json = {"num": c.numerator, "den": c.denominator}
     return {
-        "theorem": report.theorem.value,
-        "satisfied": report.hypothesis.satisfied,
-        "skipped": report.skipped,
-        "reason": report.reason,
+        "theorem": theorem.value,
+        "satisfied": satisfied,
+        "skipped": skipped,
+        "reason": reason,
         "c": c_json,
-        "y": report.y,
-        "lhs": None if report.lhs_count is None else str(report.lhs_count),
-        "rhs": None if report.rhs_count is None else str(report.rhs_count),
+        "y": y,
+        "lhs": None if lhs is None else str(lhs),
+        "rhs": None if rhs is None else str(rhs),
         "multiplier": (
             None
-            if report.multiplier is None
-            else {"num": report.multiplier_num, "den": report.multiplier_den}
+            if multiplier is None
+            else {"num": multiplier.numerator, "den": multiplier.denominator}
         ),
-        "verdict": report.verdict,
+        "verdict": verdict,
     }
 
 
