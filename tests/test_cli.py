@@ -205,6 +205,17 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--campaign", "0"],
+        ["--campaign", "2", "--a-max", "-1"],
+        ["--campaign", "2", "--netflows-per-seed", "0"],
+        ["--campaign", "2", "--netflows-per-seed", "-3"],
+    ])
+    def test_campaign_flag_out_of_range(self, capsys, flags):
+        code, out, err = _run(capsys, ["verify", "--theorem", "a"] + flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_full_list(self, capsys, g3_path):
@@ -277,6 +288,13 @@ class TestVerify:
         assert all("seed" in line for line in lines[:-1])
         seeds = [line["seed"] for line in lines[:-1]]
         assert seeds == sorted(seeds)
+
+    def test_campaign_zero_supply_cap(self, capsys):
+        code, out, _ = _run(
+            capsys, ["verify", "--theorem", "a", "--campaign", "2", "--a-max", "0"]
+        )
+        assert code == 0
+        assert json.loads(out.strip().split("\n")[-1])["instances"] == 6
 
     def test_campaign_rejects_graph(self, capsys, k4_path):
         code, _, err = _run(

@@ -16,14 +16,17 @@ from kpflows import (
     catalan_product,
     check_flow,
     count,
+    count_via_partial,
     delete_edges,
     enumerate_flows,
     enumerate_partial_flows,
     necessary_feasible_a,
     root_multiset,
     strip_distinguished,
+    verify_identity_a,
     weight_bound,
 )
+from kpflows import counting
 from kpflows.counting import _frontier
 
 from families import identity_corpus, random_graph, random_netflow_a, random_netflow_c
@@ -144,6 +147,174 @@ class TestCount:
         assert count(g, (4,)) == 1
         assert count(g, (3,)) == 0
         assert count(build_graph(1, "A", []), (0,)) == 1
+
+
+def _cold_count(graph, a):
+    """``count`` on an empty prefix memo; the memo is put back afterwards,
+    so the sequence of counts around this one is not disturbed."""
+    saved = counting._prefix_memo
+    counting._prefix_memo = (None, {})
+    try:
+        return count(graph, a)
+    finally:
+        counting._prefix_memo = saved
+
+
+def _prefix_family(rng, kind, n_plus_1):
+    """Graphs that share their edges out of 1..n-2 and differ after n-2.
+
+    Each tail after n-2 comes with (n-1, n, -) of multiplicity 1, 0 and 2,
+    so G and G - (n-1, n) are both members.  A type C prefix holds a
+    positive edge or loop, and of its two tails one has none and one has a
+    positive edge or loop, so the last positive source v_p lies in the
+    prefix for some members and after n-2 for the others.
+    """
+    split = n_plus_1 - 3
+    signs = "-+" if kind == "C" else "-"
+
+    def draw(lo, hi, tail_signs):
+        edges = {}
+        for i in range(lo, hi + 1):
+            for j in range(i, n_plus_1 + 1):
+                for sign in tail_signs:
+                    if (i < j or sign == "+") and rng.random() < 0.4:
+                        edges[(i, j, sign)] = rng.randint(1, 2)
+        return edges
+
+    prefix = draw(1, split, signs)
+    if kind == "C":
+        i = rng.randint(1, split)
+        prefix[(i, rng.randint(i, n_plus_1), "+")] = 1
+    tails = [draw(split + 1, n_plus_1, "-")]
+    if kind == "C":
+        positive = draw(split + 1, n_plus_1, "+")
+        i = rng.randint(split + 1, n_plus_1)
+        positive[(i, rng.randint(i, n_plus_1), "+")] = 1
+        tails.append({**draw(split + 1, n_plus_1, "-"), **positive})
+    members = []
+    for tail in tails:
+        for mult in (1, 0, 2):
+            edges = {**prefix, **tail, (split + 1, split + 2, "-"): mult}
+            members.append(build_graph(
+                n_plus_1, kind, [(i, j, sign, m) for (i, j, sign), m in edges.items() if m]
+            ))
+    return members
+
+
+def _prefix_netflow(rng, kind, n_plus_1):
+    """Supplies down to -1, so that arrivals at n-1 can be negative."""
+    head = [rng.randint(-1, 3) for _ in range(n_plus_1 - 1)]
+    if kind == "A":
+        return tuple(head) + (-sum(head),)
+    return tuple(head) + (2 * rng.randint(0, 3) - sum(head),)
+
+
+def _interleaved(rng, families, netflows_per_family):
+    """(graph, a) pairs: each family's members counted in a row on one
+    netflow, the runs shuffled, and some neighbours of different runs
+    swapped so that runs interleave."""
+    runs = []
+    for kind, members in families:
+        for _ in range(netflows_per_family):
+            a = _prefix_netflow(rng, kind, members[0].n_plus_1)
+            runs.append([(g, a) for g in rng.sample(members, len(members))])
+    rng.shuffle(runs)
+    order = [case for run in runs for case in run]
+    for _ in range(len(order) // 4):
+        k = rng.randrange(len(order) - 1)
+        order[k], order[k + 1] = order[k + 1], order[k]
+    return order
+
+
+@pytest.fixture
+def memo_misses(monkeypatch):
+    """Start on an empty prefix memo and record, per ``_frontier`` call,
+    whether it stored a new memo entry, i.e. ran the layers of 1..n-2."""
+    monkeypatch.setattr(counting, "_prefix_memo", (None, {}))
+    frontier = counting._frontier
+    misses = []
+
+    def spy(graph, a, last):
+        before = counting._prefix_memo
+        out = frontier(graph, a, last)
+        misses.append(counting._prefix_memo is not before)
+        return out
+
+    monkeypatch.setattr(counting, "_frontier", spy)
+    return misses
+
+
+class TestPrefixMemo:
+    """``_frontier`` resumes a count at vertex n-1 from the frontier of the
+    previous count whose netflow, edges out of 1..n-2 and last positive
+    source (up to n-2) are the same; every count must equal a cold one."""
+
+    def test_interleaved_families_match_cold_counts(self, monkeypatch):
+        monkeypatch.setattr(counting, "_prefix_memo", (None, {}))
+        rng = random.Random(20261018)
+        families = [
+            (kind, _prefix_family(rng, kind, n_plus_1))
+            for n_plus_1 in (4, 5, 6)
+            for kind in ("A", "C")
+            for _ in range(12)
+        ]
+        order = _interleaved(rng, families, 4)
+        hits = 0
+        for g, a in order:
+            before = counting._prefix_memo
+            hot = count(g, a)
+            # every count here runs its layers, so a memo left as it was is a hit
+            hits += counting._prefix_memo is before
+            assert hot == _cold_count(g, a), (g, a)
+            if g.n_plus_1 <= 5 and sum(abs(x) for x in a) <= 8:
+                assert hot == brute_force_count(g, a), (g, a)
+        assert hits >= len(order) // 5
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_families_property(self, seed):
+        rng = random.Random(seed)
+        families = [
+            (kind, _prefix_family(rng, kind, rng.randint(4, 6)))
+            for kind in (rng.choice("AC"), rng.choice("AC"))
+        ]
+        saved = counting._prefix_memo
+        try:
+            for g, a in _interleaved(rng, families, 2):
+                assert count(g, a) == _cold_count(g, a), (g, a)
+        finally:
+            counting._prefix_memo = saved
+
+    def test_partial_backend_ignores_the_memo(self, memo_misses, mixed_no_loop):
+        # the partial backend stops after n-2 and keeps negative arrivals at
+        # n-1, which the counts' frontier drops; mixed_no_loop has some
+        h = strip_distinguished(mixed_no_loop)
+        assert any(state[0] < 0 for state in _frontier(h, (2, 0, 0, 0), 1))
+        cases = [(mixed_no_loop, (2, 0, 0, 0))] + identity_corpus(
+            Theorem.TYPE_C_MIXED, 24, seed0=500
+        ) + identity_corpus(Theorem.TYPE_A, 12, seed0=500)
+        for g, a in cases:
+            counting._prefix_memo = (None, {})
+            cold = count_via_partial(g, a)
+            count(g, a)
+            assert count_via_partial(g, a) == cold, (g, a)
+
+    def test_identity_check_runs_the_shared_layers_once(self, memo_misses):
+        g = catalan_graph(8)  # K_9
+        for a in (catalan_netflow(8), (1,) * 8 + (-8,)):
+            del memo_misses[:]
+            report = verify_identity_a(g, a)
+            assert memo_misses == [True, False]
+            assert report.verdict is True
+            # the memo holds the frontier on entry to vertex n-1: the states
+            # of the partial backend's frontier after n-2, none of them a
+            # negative arrival here
+            states = _frontier(g, a, g.n_plus_1 - 3)
+            assert all(state[0] >= 0 for state in states)
+            stored = counting._prefix_memo[1]
+            assert len(stored) == len(states)
+            assert sum(stored.values()) == sum(states.values())
+        assert report.lhs_count == _cold_count(g, a)
 
 
 class TestEnumerate:
