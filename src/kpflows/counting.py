@@ -29,8 +29,13 @@ G's edge copies.  Two independent algorithms are provided:
   the loop each state is packed into one integer, one biased digit per
   coordinate in a radix derived from ``sum|a_i|``, and each edge group is one
   precompiled integer delta; only the returned frontier is decoded to tuples.
-  The frontier on entry to vertex n-1 is kept in a one-entry memo, so a count
-  of G - (n-1, n) after one of G with the same netflow resumes there.
+  A group that sends t units from each state is swept one line
+  ``key + t*delta`` at a time: every state on a line reaches the same last
+  state, so one walk with m running sums (the hockey-stick identity gives
+  the weights ``comb(t+m-1, m-1)``) stores each new state once, instead of
+  merging one entry per (state, t) pair.  The frontier on entry to vertex
+  n-1 is kept in a one-entry memo, so a count of G - (n-1, n) after one of
+  G with the same netflow resumes there.
   States that have placed more positive flow than ``y = sum(a)/2`` (type C)
   are cut, and after the last positive source the positive total must be y.
 
@@ -289,8 +294,8 @@ def _frontier(
     inflow minus positive inflow.  Each out-group ``(v, j, sign)`` of
     multiplicity m sends ``t = 0..supply`` units (fewer on a positive edge,
     see below) into coordinate j in ``comb(t+m-1, m-1)`` ways, and equal
-    states merge; the last group of a loopless vertex takes whatever is
-    left.  Loops then drain the rest two
+    states merge (the sweep below does both at once); the last group of a
+    loopless vertex takes whatever is left.  Loops then drain the rest two
     units at a time (none may be left without loops).  States with negative
     supply die on arrival at vertices ``1..last``; the arrival at
     ``last+1``, the first coordinate of every returned state, is kept
@@ -326,6 +331,30 @@ def _frontier(
     ``delta = step*B**(j-v) - 1`` (step +1 for a negative edge, -1 for a
     positive one), and closing a vertex drops the lowest digit with
     ``key // B``.  Only the returned frontier is decoded to tuples.
+
+    A fan-out group (any out-group but the closing one and the exact one at
+    v_p) is swept one line at a time, not one (state, t) pair at a time.
+    Let ``top`` be the most a state may send: its supply, or ``min(supply,
+    Phi // 2)`` on a positive group.  One step ``+delta`` lowers the supply
+    by 1 and Phi by 0 on a negative group or by 2 on a positive one, so
+    ``top`` falls by exactly 1 per step, and every state of a line ``key,
+    key + delta, ...`` with ``top >= 0``, old or new, shares the line's
+    last state ``end = key + top*delta``.  Each new state therefore lies on
+    exactly one line, and the old states that reach it are the ones behind
+    it on that line; the old state farthest back has the largest ``top``,
+    and its chain covers every other one (a state with ``top < 0`` sends
+    nothing).  The old keys are visited in sorted order along ``delta``, so
+    the first one met on a line is that farthest state, and one walk from
+    it to ``end`` pops the old states it passes while keeping m running
+    sums: the first adds the old state's ways, each later one adds the sum
+    before it, and the last is stored as the new state's ways.  A later old
+    key of a walked line is gone, and its pop finds 0 (stored ways are
+    never 0).  The first sum weights an old state t steps back by ``1 =
+    comb(t, 0)``, and by the hockey-stick identity ``sum_{s=0..t}
+    comb(s+i-2, i-2) = comb(t+i-1, i-1)`` the i-th weights it by
+    ``comb(t+i-1, i-1)``, so the m-th gives exactly the ways of sending t
+    units along m copies.  Every new state is stored once, with no lookup,
+    and popping keeps the old frontier shrinking as the new one grows.
 
     No digit carries, because ``|c_k| < K`` for every coordinate ever
     stored.  By induction over vertices, the negative plus positive inflow
@@ -454,32 +483,32 @@ def _frontier(
                         _grow_weights(weights, m, t)
                     state = key + t * delta
                     nxt[state] = nxt.get(state, 0) + ways * weights[t]
-            elif positive:
-                while frontier:
-                    key, ways = frontier.popitem()
-                    top = min(key % radix - big, ((key + off) % wrap + base) // 2)
-                    if top >= len(weights):
-                        _grow_weights(weights, m, top)
-                    for state, w in zip(
-                        range(key, key + (top + 1) * delta, delta), weights
-                    ):
-                        nxt[state] = nxt.get(state, 0) + ways * w
-            elif m > 1:
-                while frontier:
-                    key, ways = frontier.popitem()
-                    rem = key % radix - big
-                    if rem >= len(weights):
-                        _grow_weights(weights, m, rem)
-                    for state, w in zip(
-                        range(key, key + (rem + 1) * delta, delta), weights
-                    ):
-                        nxt[state] = nxt.get(state, 0) + ways * w
             else:
-                while frontier:
-                    key, ways = frontier.popitem()
-                    rem = key % radix - big
-                    for state in range(key, key + (rem + 1) * delta, delta):
-                        nxt[state] = nxt.get(state, 0) + ways
+                # in key order along delta, the first old state met on a line
+                # is its farthest back and so has the largest top; the walk
+                # from it pops the rest of its line, whose pops then find 0
+                pop = frontier.pop
+                for key in sorted(frontier, reverse=delta < 0):
+                    acc = pop(key, 0)
+                    if not acc:
+                        continue
+                    top = key % radix - big
+                    if positive:
+                        top = min(top, ((key + off) % wrap + base) // 2)
+                        if top < 0:
+                            continue
+                    nxt[key] = acc
+                    if m == 1:  # one running sum needs no list
+                        for state in range(key + delta, key + (top + 1) * delta, delta):
+                            acc += pop(state, 0)
+                            nxt[state] = acc
+                    else:
+                        sums = [acc] * m
+                        for state in range(key + delta, key + (top + 1) * delta, delta):
+                            acc = pop(state, 0)
+                            for i in range(m):
+                                sums[i] = acc = sums[i] + acc
+                            nxt[state] = acc
             frontier = nxt
         if closing >= 0:
             continue

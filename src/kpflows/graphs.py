@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HypothesisUnmet, InvalidEdge, KindViolation, MissingEdge
+
+if TYPE_CHECKING:  # fractions loads decimal; only two functions build a Fraction
+    from fractions import Fraction
 
 NEG = "-"
 POS = "+"
@@ -324,6 +326,8 @@ def bv_hypothesis(graph: SignedMultigraph, theorem: Theorem) -> BVCondition:
                 failures.append(
                     f"positive edge ({i},{j}) lies among vertices {top}"
                 )
+
+    from fractions import Fraction
 
     signs = (NEG, POS) if theorem is Theorem.TYPE_C_MIXED else (NEG,)
     c: Fraction | None = None

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InfeasibleParams
 from .counting import _check_netflow, count
@@ -45,6 +44,9 @@ from .graphs import (
     is_connected,
     netflow_y,
 )
+
+if TYPE_CHECKING:  # fractions loads decimal; only two functions build a Fraction
+    from fractions import Fraction
 
 Counter = Callable[[SignedMultigraph, Sequence[int]], int]
 
@@ -119,6 +121,8 @@ def _verify(
             reason = f"y={y} exceeds min(a_n-1+1, a_n+1)={bound}"
     if reason is not None:
         return IdentityReport(theorem, cond, skipped=True, reason=reason, y=y, notes=notes)
+    from fractions import Fraction
+
     t = sum(a[: n - 2]) - (2 * y if type_c else 0)
     lhs, rhs = counter(graph, a), counter(reduced, a)
     p, q = (1, 0) if cond.c is None else (cond.c.numerator, cond.c.denominator)

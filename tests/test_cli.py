@@ -436,9 +436,12 @@ class TestInternalError:
 def test_import_floor():
     """Every CLI call imports the package before it does anything, so the
     package must not pull in ``dataclasses``, which loads ``inspect`` (and
-    with it ``ast``, ``dis`` and ``tokenize``)."""
+    with it ``ast``, ``dis`` and ``tokenize``), nor ``fractions``, which
+    loads ``decimal``; only the hypothesis ratio and the multiplier build a
+    ``Fraction``, and they import it when they do."""
     src = Path(cli.__file__).resolve().parent.parent
-    probe = "import sys, kpflows.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = ("import sys, kpflows.cli; print(sorted("
+             "{'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

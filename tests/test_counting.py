@@ -109,8 +109,10 @@ class TestCount:
         for g in (gc, gc_mixed):
             assert count(g, (0,) * g.n_plus_1) >= 1
 
-    def test_catalan_9(self):
-        assert count(catalan_graph(9), catalan_netflow(9)) == catalan_product(9)
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_catalan_9(self, n):
+        # n = 10 peaks at 15,504 frontier states, with many on each line
+        assert count(catalan_graph(n), catalan_netflow(n)) == catalan_product(n)
 
     def test_long_path_has_no_depth_limit(self):
         # one layer per vertex and no recursion: far past Python's default
@@ -404,14 +406,15 @@ class TestOracleAgreement:
             assert count(g, a) == expected, (g, a)
             assert len(enumerate_flows(g, a)) == expected, (g, a)
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
-    def test_agreement_on_arbitrary_netflows(self, seed):
+    def test_agreement_on_arbitrary_netflows(self, seed, max_mult):
         # negative and malformed entries included: the two backends must
-        # agree everywhere, not only on feasible inputs
+        # agree everywhere, not only on feasible inputs; up to 3 copies per
+        # edge give the DP's sweep up to three running sums per line
         rng = random.Random(seed)
         kind = rng.choice(["A", "C"])
-        g = random_graph(rng, kind, rng.randint(2, 4))
+        g = random_graph(rng, kind, rng.randint(2, 4), max_mult)
         a = tuple(rng.randint(-3, 4) for _ in range(g.n_plus_1))
         assert count(g, a) == brute_force_count(g, a)
 
