@@ -400,6 +400,14 @@ class TestOracleAgreement:
                                   (2, 3, "+", 1)]), (3, 1, 0)),
             (build_graph(4, "C", [(1, 2, "-", 1), (1, 4, "+", 2), (2, 3, "-", 1),
                                   (2, 4, "-", 1), (3, 4, "+", 1)]), (3, 1, 2, -2)),
+            # three copies ahead of the closing group: three running sums
+            # along each line, on a negative edge and on a positive edge
+            # whose lines the budget cuts short
+            (build_graph(3, "A", [(1, 2, "-", 3), (1, 3, "-", 1), (2, 3, "-", 1)]),
+             (4, 1, -5)),
+            (build_graph(4, "C", [(1, 2, "-", 1), (1, 2, "+", 3), (1, 3, "-", 1),
+                                  (2, 3, "-", 2), (2, 3, "+", 1), (2, 4, "-", 1),
+                                  (3, 4, "-", 1)]), (5, 1, 0, 0)),
         ]
         for g, a in extreme:
             expected = brute_force_count(g, a)
