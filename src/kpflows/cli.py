@@ -6,7 +6,8 @@ consumers never overflow.  Exit codes are the verdict channel:
 
     0  success / identity verified
     1  identity violated
-    2  input error (bad flags, malformed JSON, missing files)
+    2  input error (bad flags, malformed JSON, files that cannot be read
+       or written)
     3  hypothesis or domain constraint not met (check skipped, or the
        partial backend's literal aggregate is not the count)
     4  internal error: an unexpected exception, reported on one stderr
@@ -106,6 +107,10 @@ def _load_json_file(path: str) -> object:
             return json.load(fh)
     except FileNotFoundError:
         raise _InputError(f"{path}: file not found")
+    except OSError as exc:
+        raise _InputError(f"{path}: cannot read ({exc.strerror})")
+    except UnicodeDecodeError:
+        raise _InputError(f"{path}: not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: malformed JSON ({exc})")
 
@@ -146,17 +151,13 @@ def _load_netflow(args: argparse.Namespace) -> tuple:
 def _emit(args: argparse.Namespace, text: str) -> None:
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _InputError(f"{out}: cannot write ({exc.strerror})")
     else:
         sys.stdout.write(text + "\n")
-
-
-_THEOREMS = {
-    "a": Theorem.TYPE_A,
-    "c31": Theorem.TYPE_C_NEGATIVE,
-    "c32": Theorem.TYPE_C_MIXED,
-}
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -223,7 +224,7 @@ def _campaign_netflows(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    theorem = _THEOREMS[args.theorem]
+    theorem = Theorem(args.theorem)
     if args.campaign is None:
         if args.graph is None:
             raise _InputError("verify needs --graph (or --campaign)")
@@ -240,7 +241,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _InputError("--netflows-per-seed needs a positive count")
     if args.a_max < 0:
         raise _InputError("--a-max must be at least 0")
-    kind = GraphKind.TYPE_A if theorem is Theorem.TYPE_A else GraphKind.TYPE_C
+    kind = theorem.kind
     lines = []
     n_true = n_false = n_skip = 0
     for seed in range(args.campaign):
@@ -283,12 +284,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    theorem = _THEOREMS[args.theorem]
-    expected = GraphKind.TYPE_A if theorem is Theorem.TYPE_A else GraphKind.TYPE_C
-    if args.kind is not None and GraphKind(args.kind.upper()) is not expected:
+    theorem = Theorem(args.theorem)
+    if args.kind is not None and GraphKind(args.kind.upper()) is not theorem.kind:
         raise _InputError(f"--kind {args.kind} conflicts with --theorem {args.theorem}")
     try:
-        graph = generate_bv_family(args.n_plus_1, expected, theorem, args.max_mult, args.seed)
+        graph = generate_bv_family(args.n_plus_1, theorem.kind, theorem, args.max_mult, args.seed)
     except KPFlowsError as exc:
         raise _InputError(str(exc))
     _emit(args, json.dumps(graph.to_json_dict()))

@@ -56,6 +56,11 @@ class Theorem(enum.Enum):
     TYPE_C_NEGATIVE = "c31"
     TYPE_C_MIXED = "c32"
 
+    @property
+    def kind(self) -> GraphKind:
+        """The graph kind the variant's hypothesis asks for."""
+        return GraphKind.TYPE_A if self is Theorem.TYPE_A else GraphKind.TYPE_C
+
 
 def _is_int(x: object) -> bool:
     """An integer that is not a boolean (``True`` is an ``int`` in Python)."""
@@ -300,8 +305,7 @@ def bv_hypothesis(graph: SignedMultigraph, theorem: Theorem) -> BVCondition:
     top = (n - 1, n, n + 1)
     failures: list[str] = []
 
-    expected = GraphKind.TYPE_A if theorem is Theorem.TYPE_A else GraphKind.TYPE_C
-    if graph.kind is not expected:
+    if graph.kind is not theorem.kind:
         failures.append(
             f"graph kind {graph.kind.value} does not match theorem {theorem.value}"
         )

@@ -231,8 +231,7 @@ def generate_bv_family(
     """
     kind = GraphKind(kind)
     theorem = Theorem(theorem)
-    expected = GraphKind.TYPE_A if theorem is Theorem.TYPE_A else GraphKind.TYPE_C
-    if kind is not expected:
+    if kind is not theorem.kind:
         raise ValueError(f"kind {kind.value} does not match theorem {theorem.value}")
     if n_plus_1 < 3:
         raise InfeasibleParams("need at least 3 vertices")

@@ -33,9 +33,10 @@ the walk of :mod:`kpflows.counting` on H with coordinates 1..n-2
 constrained.  Its *supply bound* is exact because every H-edge leaves a
 vertex in [n-2], so the slots out of such a vertex i only lower its supply,
 which must end at 0; its *forced last slot* is exact because no later slot
-touches i.  Everything that depends on G alone (the hypothesis, H, the
-G-slot index of every H slot and distinguished edge, H's roots) is compiled
-once per graph by :func:`_fibration`.
+touches i.  The hypothesis check and H depend on G alone and are made once
+per graph by :func:`_fibration`, whose guard also puts a fiber's three
+coordinates in G's last three slots; H's roots come from the one root
+table, :func:`kpflows.counting._slot_table`.
 """
 
 from __future__ import annotations
@@ -109,22 +110,18 @@ def _positive_target(
     return y is not None and y >= 0, y
 
 
-class _Layout(NamedTuple):
-    """The netflow-free part of G's fibration, compiled once per graph."""
-
-    h: SignedMultigraph  # G minus the three distinguished edges
-    h_pos: tuple[int, ...]  # G-slot index of each H slot
-    d_pos: tuple[int, int, int]  # G-slot index of each distinguished edge
-    roots: tuple[tuple[tuple[int, int], ...], ...]  # per H slot, its root's (k, cf != 0)
-
-
 @lru_cache(maxsize=16)
-def _fibration(graph: SignedMultigraph) -> _Layout:
-    """Check the hypothesis, build H and compile the slot layout; once per
-    graph, since every fiber and every member of a request shares them.
+def _fibration(graph: SignedMultigraph) -> SignedMultigraph:
+    """Check the hypothesis and build H; once per graph, since every fiber
+    and every member of a request shares them.
 
     Every H-edge must touch a vertex in [n-2]: the partial-flow constraints
-    live there, and neither the walk nor H's DP handles a later edge.
+    live there, and neither the walk nor H's DP handles a later edge.  The
+    same guard fixes G's slot layout.  G's slots are sorted by
+    ``(i, j, sign)`` and every H-edge leaves a vertex below n-1, so G's slots
+    are H's followed by (n-1, n), (n-1, n+1), (n, n+1), and G - (n-1, n)
+    ends in the last two: a flow on G is its partial flow followed by
+    ``(k, L-k, R+k)``.
     """
     cond = bv_hypothesis(graph, applicable_theorem(graph))
     if not cond.satisfied:
@@ -135,24 +132,17 @@ def _fibration(graph: SignedMultigraph) -> _Layout:
             raise HypothesisUnmet(
                 f"edge ({i},{j},{sign}) does not touch vertices 1..{graph.n - 2}"
             )
-    slots = graph.edge_slots()
-    d_pos = tuple(slots.index(d) for d in distinguished_edges(graph.n))
-    return _Layout(
-        h=h,
-        h_pos=tuple(p for p in range(len(slots)) if p not in d_pos),
-        d_pos=d_pos,
-        roots=_slot_table(h)[1],
-    )
+    return h
 
 
 def _partial_flow(
-    layout: _Layout, values: Sequence[int]
+    h: SignedMultigraph, values: Sequence[int]
 ) -> tuple[PartialFlow, list[int]]:
     """An H-flow with its statistics, and its netflow on 1..n-2, from its
     root combination.  Negative roots sum to 0 and positive ones (loops
     included) to 2, hence ``y_pos``."""
-    acc = [0] * layout.h.n_plus_1
-    for entries, b in zip(layout.roots, values):
+    acc = [0] * h.n_plus_1
+    for entries, b in zip(_slot_table(h)[1], values):
         if b:
             for k, cf in entries:
                 acc[k] += cf * b
@@ -160,20 +150,20 @@ def _partial_flow(
     return PartialFlow(tuple(values), inflows, sum(acc) // 2), acc[:-3]
 
 
-def _fiber_layout(
+def _check_partial_flow(
     graph: SignedMultigraph, pf: PartialFlow, a: Sequence[int]
-) -> _Layout:
-    """G's layout, once ``a`` is a netflow for G and ``pf`` a partial flow
-    for (graph, a) with its own statistics; one pass over H's slots."""
+) -> None:
+    """Raise unless ``a`` is a netflow for G and ``pf`` a partial flow for
+    (graph, a) with its own statistics; one pass over H's slots."""
     _check_netflow(graph, a)
-    layout = _fibration(graph)
-    if len(pf.values) != len(layout.h_pos):
+    h = _fibration(graph)
+    if len(pf.values) != h.num_edges:
         raise DimensionMismatch(
-            f"partial flow has length {len(pf.values)}, H has {len(layout.h_pos)} edge copies"
+            f"partial flow has length {len(pf.values)}, H has {h.num_edges} edge copies"
         )
     if any(not _is_int(b) or b < 0 for b in pf.values):
         raise InvalidFlow("partial flow entries must be nonnegative integers")
-    own, head = _partial_flow(layout, pf.values)
+    own, head = _partial_flow(h, pf.values)
     if (own.inflows, own.y_pos) != (pf.inflows, pf.y_pos):
         raise InvalidFlow(
             f"partial flow has Y = {own.inflows}, y_pos = {own.y_pos}, not "
@@ -182,7 +172,6 @@ def _fiber_layout(
     feasible, y = _positive_target(graph, a)
     if head != list(a[:-3]) or not feasible or own.y_pos != (y or 0):
         raise InvalidFlow("partial flow does not match the netflow")
-    return layout
 
 
 def enumerate_partial_flows(
@@ -195,23 +184,12 @@ def enumerate_partial_flows(
     list is empty for them.
     """
     _check_netflow(graph, a)
-    layout = _fibration(graph)
+    h = _fibration(graph)
     feasible, y_target = _positive_target(graph, a)
     if not feasible:
         return []
-    walk = _walk(layout.h, a, graph.n_plus_1 - 3, y_target)
-    return [_partial_flow(layout, values)[0] for values in walk]
-
-
-def _member(
-    layout: _Layout, values: Sequence[int], special: tuple[int, int, int]
-) -> list[int]:
-    """A G-slot vector: ``values`` on H's slots, ``special`` on the
-    distinguished ones (n-1, n), (n-1, n+1), (n, n+1)."""
-    member = [0] * (len(values) + 3)
-    for p, b in zip(layout.h_pos + layout.d_pos, (*values, *special)):
-        member[p] = b
-    return member
+    walk = _walk(h, a, graph.n_plus_1 - 3, y_target)
+    return [_partial_flow(h, values)[0] for values in walk]
 
 
 def extend_unique(
@@ -227,7 +205,7 @@ def extend_unique(
     partial flow extends.  A ``pf`` that is not a partial flow for
     (graph, a) raises :class:`DimensionMismatch` or :class:`InvalidFlow`.
     """
-    layout = _fiber_layout(graph, pf, a)
+    _check_partial_flow(graph, pf, a)
     n = graph.n
     _, d2, d3 = distinguished_edges(n)
     b_left = pf.inflows[0] + a[n - 2]
@@ -236,9 +214,7 @@ def extend_unique(
         raise NegativeExtension(
             f"extension needs b{d2} = {b_left}, b{d3} = {b_right}"
         )
-    member = _member(layout, pf.values, (0, b_left, b_right))
-    del member[layout.d_pos[0]]  # G - (n-1, n) has G's slots without this one
-    return tuple(member)
+    return tuple(pf.values) + (b_left, b_right)
 
 
 def extend_with_index(
@@ -254,7 +230,7 @@ def extend_with_index(
     that is not a partial flow for (graph, a) raises
     :class:`DimensionMismatch` or :class:`InvalidFlow`.
     """
-    layout = _fiber_layout(graph, pf, a)
+    _check_partial_flow(graph, pf, a)
     n = graph.n
     cap = pf.inflows[0] + a[n - 2]
     if not 0 <= k <= cap:
@@ -262,7 +238,7 @@ def extend_with_index(
     b_last = pf.inflows[1] + a[n - 1] + k
     if b_last < 0:
         raise NegativeExtension(f"extension needs b{distinguished_edges(n)[2]} = {b_last}")
-    return tuple(_member(layout, pf.values, (k, cap - k, b_last)))
+    return tuple(pf.values) + (k, cap - k, b_last)
 
 
 def decompose(
@@ -273,11 +249,11 @@ def decompose(
     Inverse of :func:`extend_with_index` in both directions.
     """
     _check_netflow(graph, a)
-    layout = _fibration(graph)
+    h = _fibration(graph)
     if not check_flow(graph, f, a):
         raise InvalidFlow("vector fails flow conservation for this netflow")
-    pf, _ = _partial_flow(layout, [f[p] for p in layout.h_pos])
-    return pf, f[layout.d_pos[0]]
+    pf, _ = _partial_flow(h, f[:-3])
+    return pf, f[-3]
 
 
 def materialize_fiber(
@@ -287,21 +263,15 @@ def materialize_fiber(
 
     The members of :func:`extend_with_index` for ``k = 0..Y_{n-1}+a_{n-1}``
     whose forced value at (n, n+1) is nonnegative, in order of k.  The
-    hypothesis check, H and the slot layout come from the per-graph
-    :func:`_fibration`, and ``pf`` is validated once per fiber, as in
-    :func:`extend_with_index`.
+    hypothesis check and H come from the per-graph :func:`_fibration`, and
+    ``pf`` is validated once per fiber, as in :func:`extend_with_index`.
     """
-    layout = _fiber_layout(graph, pf, a)
+    _check_partial_flow(graph, pf, a)
     n = graph.n
     cap = pf.inflows[0] + a[n - 2]
     right = pf.inflows[1] + a[n - 1]
-    member = _member(layout, pf.values, (0, 0, 0))
-    p1, p2, p3 = layout.d_pos
-    out = []
-    for k in range(max(0, -right), cap + 1):
-        member[p1], member[p2], member[p3] = k, cap - k, right + k
-        out.append(tuple(member))
-    return out
+    values = tuple(pf.values)
+    return [values + (k, cap - k, right + k) for k in range(max(0, -right), cap + 1)]
 
 
 def count_via_partial(
@@ -331,7 +301,7 @@ def count_via_partial(
     returned ``total`` is always the flow count on G.
     """
     _check_netflow(graph, a)
-    h = _fibration(graph).h
+    h = _fibration(graph)
     feasible, _ = _positive_target(graph, a)
     if not feasible:
         return PartialCount(total=0, num_partial=0)

@@ -42,7 +42,7 @@ def identity_corpus(theorem: Theorem, instances: int, seed0: int = 0,
     For the mixed variant, y is drawn from 0..min(a_{n-1}+1, a_n+1) so the
     whole stated netflow domain (its boundary included) is exercised.
     """
-    kind = GraphKind.TYPE_A if theorem is Theorem.TYPE_A else GraphKind.TYPE_C
+    kind = theorem.kind
     pairs = []
     g_index = 0
     while len(pairs) < instances:

@@ -205,6 +205,28 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", [
+        "graph_is_directory", "a_file_is_directory", "graph_not_utf8", "a_file_not_utf8",
+        "output_in_missing_directory", "output_is_directory",
+    ])
+    def test_unusable_file(self, capsys, tmp_path, g3_path, case):
+        # An unreadable or unwritable file is an input error, not a crash.
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"a": [1, 0, -1], "note": "caf\xe9"}')
+        argv = {
+            "graph_is_directory": ["--graph", str(tmp_path), "--a", "[1,0,-1]"],
+            "a_file_is_directory": ["--graph", g3_path, "--a-file", str(tmp_path)],
+            "graph_not_utf8": ["--graph", str(not_utf8), "--a", "[1,0,-1]"],
+            "a_file_not_utf8": ["--graph", g3_path, "--a-file", str(not_utf8)],
+            "output_in_missing_directory": [
+                "--graph", g3_path, "--a", "[1,0,-1]", "-o", str(tmp_path / "no" / "out.txt")],
+            "output_is_directory": ["--graph", g3_path, "--a", "[1,0,-1]", "-o", str(tmp_path)],
+        }[case]
+        code, out, err = _run(capsys, ["count"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
     @pytest.mark.parametrize("flags", [
         ["--campaign", "0"],
         ["--campaign", "2", "--a-max", "-1"],

@@ -23,11 +23,14 @@ from kpflows import (
     count_via_partial,
     decompose,
     delete_edges,
+    distinguished_edges,
     enumerate_flows,
     enumerate_partial_flows,
     extend_unique,
     extend_with_index,
+    generate_bv_family,
     materialize_fiber,
+    strip_distinguished,
 )
 
 from families import identity_corpus
@@ -195,6 +198,42 @@ class TestPartialFlowValidation:
         h_values = (0, 4, 0, 0)  # slots of H: (1,1,+), (1,2,-), (1,3,-), (1,4,-)
         self._assert_all_raise(InvalidFlow, gc, PartialFlow(h_values, (4, 0, 0), 0),
                                (4, 0, 0, -2))
+
+
+    def test_list_values_give_the_same_members(self, k4, gc_mixed, g3):
+        # PartialFlow.values may arrive as a list; members are tuples either way
+        for g, a in ((k4, (3, 1, 0, -4)), (gc_mixed, (2, 1, 1, -2)), (g3, (2, 3, -5))):
+            for pf in enumerate_partial_flows(g, a):
+                listed = PartialFlow(list(pf.values), pf.inflows, pf.y_pos)
+                assert extend_unique(g, listed, a) == extend_unique(g, pf, a)
+                assert materialize_fiber(g, listed, a) == materialize_fiber(g, pf, a)
+                for k in range(pf.inflows[0] + a[g.n - 2] + 1):
+                    assert extend_with_index(g, listed, a, k) == extend_with_index(g, pf, a, k)
+                    assert type(extend_with_index(g, listed, a, k)) is tuple
+
+
+class TestSlotLayout:
+    """The hypothesis puts the distinguished edges in G's last three slots,
+    after all of H's: the fiber functions append (k, L-k, R+k) to the
+    partial flow and decompose reads them back from the end."""
+
+    @staticmethod
+    def _graphs(fixtures):
+        yield from fixtures
+        for theorem in Theorem:
+            for n_plus_1 in range(3, 8):
+                for max_mult in (1, 2, 3):
+                    for seed in range(3):
+                        yield generate_bv_family(n_plus_1, theorem.kind, theorem, max_mult, seed)
+
+    def test_distinguished_edges_fill_the_last_three_slots(self, g3, k4, gc, gc_mixed,
+                                                           mixed_no_loop):
+        for g in self._graphs((g3, k4, gc, gc_mixed, mixed_no_loop)):
+            slots = g.edge_slots()
+            assert slots[-3:] == distinguished_edges(g.n)
+            assert strip_distinguished(g).edge_slots() == slots[:-3]
+            reduced = delete_edges(g, [(g.n - 1, g.n, "-")])
+            assert reduced.edge_slots() == slots[:-3] + slots[-2:]
 
 
 class TestDecompose:
