@@ -22,12 +22,14 @@ import json
 import os
 import random
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import HypothesisUnmet, KPFlowsError, NegativeExtension
 from .counting import brute_force_count, count, enumerate_flows
 from .graphs import GraphKind, SignedMultigraph, Theorem
-from .identities import generate_bv_family, report_json_dict, verify_identity_a, verify_identity_c
+from .identities import (
+    IdentityReport, generate_bv_family, report_json_dict, verify_identity_a, verify_identity_c,
+)
 from .partial_flows import count_via_partial, enumerate_partial_flows, materialize_fiber
 from .catalan import catalan_graph, catalan_netflow, catalan_product
 
@@ -101,18 +103,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decode(text: str, source: str) -> object:
+    """JSON input; whatever the decoder rejects is an input error.  The
+    int-to-str digit limit stays in force: a number that long is no count."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{source}: malformed JSON ({exc})")
+    except (RecursionError, ValueError) as exc:  # too deep; too many digits
+        raise _InputError(f"{source}: cannot decode JSON ({exc})")
+
+
 def _load_json_file(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise _InputError(f"{path}: file not found")
     except OSError as exc:
         raise _InputError(f"{path}: cannot read ({exc.strerror})")
     except UnicodeDecodeError:
         raise _InputError(f"{path}: not UTF-8 text")
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: malformed JSON ({exc})")
+    return _decode(text, path)
 
 
 def _load_graph(path: str) -> SignedMultigraph:
@@ -131,11 +143,7 @@ def _load_netflow(args: argparse.Namespace) -> tuple:
     if inline is not None and from_file is not None:
         raise _InputError("give the netflow either inline (--a) or as a file (--a-file), not both")
     if inline is not None:
-        try:
-            raw = json.loads(inline)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"--a: malformed JSON ({exc})")
-        source = "--a"
+        raw, source = _decode(inline, "--a"), "--a"
     elif from_file is not None:
         obj = _load_json_file(from_file)
         if not isinstance(obj, dict) or "a" not in obj:
@@ -148,7 +156,18 @@ def _load_netflow(args: argparse.Namespace) -> tuple:
     return tuple(raw)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, render: Callable[[], str]) -> None:
+    """Write ``render()`` to -o or stdout.  The int-to-str digit limit
+    (Python >= 3.10.7) is lifted while it runs, so that counts print exactly
+    at any length, and then restored, since input decoding keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = render()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     out = getattr(args, "output", None)
     if out:
         try:
@@ -169,7 +188,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         value = brute_force_count(graph, a)
     else:
         value = count_via_partial(graph, a, require_full=True).total
-    _emit(args, str(value))
+    _emit(args, lambda: str(value))
     return 0
 
 
@@ -189,23 +208,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "truncated": truncated,
         "flows": flows,
     }
-    _emit(args, json.dumps(payload))
+    _emit(args, lambda: json.dumps(payload))
     return 0
 
 
 def _verify_one(
     graph: SignedMultigraph, a: Sequence[int], theorem: Theorem
-) -> tuple[dict, int]:
+) -> tuple[IdentityReport, int]:
     if theorem is Theorem.TYPE_A:
         report = verify_identity_a(graph, a)
     else:
         report = verify_identity_c(graph, a, theorem)
-    payload = report_json_dict(report)
     if report.skipped:
-        code = 3
-    else:
-        code = 0 if report.verdict else 1
-    return payload, code
+        return report, 3
+    return report, 0 if report.verdict else 1
 
 
 def _campaign_netflows(
@@ -230,8 +246,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _InputError("verify needs --graph (or --campaign)")
         graph = _load_graph(args.graph)
         a = _load_netflow(args)
-        payload, code = _verify_one(graph, a, theorem)
-        _emit(args, json.dumps(payload))
+        report, code = _verify_one(graph, a, theorem)
+        _emit(args, lambda: json.dumps(report_json_dict(report)))
         return code
     if args.graph is not None or args.a is not None or args.a_file is not None:
         raise _InputError("--campaign does not take --graph/--a/--a-file")
@@ -242,13 +258,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.a_max < 0:
         raise _InputError("--a-max must be at least 0")
     kind = theorem.kind
-    lines = []
+    reports = []
     n_true = n_false = n_skip = 0
     for seed in range(args.campaign):
         graph = generate_bv_family(args.n_plus_1, kind, theorem, args.max_mult, seed)
         for a in _campaign_netflows(kind, graph.n, args.netflows_per_seed, args.a_max, seed):
-            payload, code = _verify_one(graph, a, theorem)
-            lines.append(json.dumps({"seed": seed, "a": list(a), **payload}))
+            report, code = _verify_one(graph, a, theorem)
+            reports.append((seed, a, report))
             if code == 3:
                 n_skip += 1
             elif code == 0:
@@ -261,7 +277,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "violated": n_false,
         "skipped": n_skip,
     }
-    _emit(args, "\n".join(lines + [json.dumps(summary)]))
+    _emit(args, lambda: "\n".join(
+        [json.dumps({"seed": seed, "a": list(a), **report_json_dict(report)})
+         for seed, a, report in reports] + [json.dumps(summary)]
+    ))
     return 1 if n_false else 0
 
 
@@ -279,7 +298,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                 "fiber": fiber,
             }
         )
-    _emit(args, json.dumps(certificates))
+    _emit(args, lambda: json.dumps(certificates))
     return 0
 
 
@@ -291,7 +310,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = generate_bv_family(args.n_plus_1, theorem.kind, theorem, args.max_mult, args.seed)
     except KPFlowsError as exc:
         raise _InputError(str(exc))
-    _emit(args, json.dumps(graph.to_json_dict()))
+    _emit(args, lambda: json.dumps(graph.to_json_dict()))
     return 0
 
 
@@ -300,13 +319,12 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
         raise _InputError("--n must be at least 1")
     value = count(catalan_graph(args.n), catalan_netflow(args.n))
     product = catalan_product(args.n)
-    payload = {
+    _emit(args, lambda: json.dumps({
         "n": args.n,
         "count": str(value),
         "catalan_product": str(product),
         "match": value == product,
-    }
-    _emit(args, json.dumps(payload))
+    }))
     return 0 if value == product else 1
 
 

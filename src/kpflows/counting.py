@@ -45,13 +45,14 @@ and must not be truncated.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import islice
 from math import comb
 
 from .errors import DimensionMismatch, LimitExceeded
-from .graphs import NEG, POS, Edge, GraphKind, SignedMultigraph, _is_int, root_of_edge
+from .graphs import NEG, POS, Edge, SignedMultigraph, _is_int, _positive_target, root_of_edge
 
 FlowVector = tuple[int, ...]
 
@@ -118,15 +119,15 @@ def _conservation_holds(
     )
 
 
-def _combination_holds(
-    roots: Sequence[tuple[tuple[int, int], ...]], f: Sequence[int], a: Sequence[int]
-) -> bool:
-    """Defining form: the b-weighted sum of edge roots equals ``a``."""
-    acc = [0] * len(a)
-    for entries, b in zip(roots, f):
-        for k, cf in entries:
-            acc[k] += cf * b
-    return all(acc[v] == a[v] for v in range(len(a)))
+def _root_sum(graph: SignedMultigraph, f: Sequence[int]) -> list[int]:
+    """The sum of the roots of the graph's edge slots, each times its entry
+    of ``f``: the netflow of a flow, or of a partial flow on H."""
+    acc = [0] * graph.n_plus_1
+    for entries, b in zip(_slot_table(graph)[1], f):
+        if b:
+            for k, cf in entries:
+                acc[k] += cf * b
+    return acc
 
 
 def check_flow(
@@ -144,9 +145,8 @@ def check_flow(
         )
     if any(not _is_int(b) or b < 0 for b in f):
         return False
-    slots, roots = _slot_table(graph)
-    by_vertex = _conservation_holds(slots, f, a)
-    by_roots = _combination_holds(roots, f, a)
+    by_vertex = _conservation_holds(_slot_table(graph)[0], f, a)
+    by_roots = _root_sum(graph, f) == list(a)  # the defining form
     if by_vertex != by_roots:  # pragma: no cover - internal consistency
         raise RuntimeError("flow-check formulations disagree; please report")
     return by_vertex
@@ -264,18 +264,13 @@ def enumerate_flows(
     if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
     walk = _walk(graph, a, graph.n_plus_1)
-    out = list(islice(walk, limit))
+    # islice takes no stop above sys.maxsize, and no list holds more flows
+    out = list(islice(walk, None if limit is None else min(limit, sys.maxsize)))
     if require_complete and limit is not None and next(walk, None) is not None:
         raise LimitExceeded(
             f"more than {limit} flows exist but completeness was requested"
         )
     return out
-
-
-def _grow_weights(weights: list[int], m: int, top: int) -> None:
-    """Extend ``weights[t] = comb(t+m-1, m-1)`` through ``t = top``."""
-    for t in range(len(weights), top + 1):
-        weights.append(weights[-1] * (t + m - 1) // t)
 
 
 # (key, packed frontier on entry to vertex n-1) of the last _frontier call
@@ -405,7 +400,7 @@ def _frontier(
     big = sum(abs(x) for x in a) + 1
     wrap = 2 * big
     radix = wrap + 1
-    out_groups: dict[int, list[tuple[int, int, list[int], bool]]] = {}
+    out_groups: dict[int, list[tuple[int, int, bool]]] = {}
     loop_mult: dict[int, int] = {}
     last_positive = 0  # v_p, the last vertex with a positive out-edge or loop
     shared = 0  # edges out of 1..n-2, a prefix of graph.edges
@@ -417,9 +412,8 @@ def _frontier(
         if i == j:
             loop_mult[i] = loop_mult.get(i, 0) + m
         else:
-            # weights[t] = comb(t+m-1, m-1), grown by _grow_weights on demand
             out_groups.setdefault(i, []).append(
-                ((-1 if positive else 1) * radix ** (j - i) - 1, m, [1], positive)
+                ((-1 if positive else 1) * radix ** (j - i) - 1, m, positive)
             )
     tail = sum(a)  # a_{v+1} + ... + a_{n+1} once vertex v is entered
     if not last_positive and tail:
@@ -454,8 +448,8 @@ def _frontier(
         # at v_p, Phi must reach 0 in its last positive group or its loops
         exact = -1
         if v == last_positive and not loops:
-            exact = max(k for k, g in enumerate(groups) if g[3])
-        for idx, (delta, m, weights, positive) in enumerate(groups):
+            exact = max(k for k, g in enumerate(groups) if g[2])
+        for idx, (delta, m, positive) in enumerate(groups):
             nxt: dict[int, int] = {}
             if idx == closing:
                 while frontier:
@@ -466,9 +460,7 @@ def _frontier(
                         if phi < 0 or phi and idx == exact:
                             continue
                     if m > 1:
-                        if rem >= len(weights):
-                            _grow_weights(weights, m, rem)
-                        ways *= weights[rem]
+                        ways *= comb(rem + m - 1, m - 1)
                     state = (key + rem * delta) // radix + supply
                     if v < last and state % radix < big:  # negative arrival
                         continue
@@ -479,10 +471,8 @@ def _frontier(
                     t, odd = divmod((key + off) % wrap + base, 2)
                     if odd or not 0 <= t <= key % radix - big:
                         continue
-                    if t >= len(weights):
-                        _grow_weights(weights, m, t)
                     state = key + t * delta
-                    nxt[state] = nxt.get(state, 0) + ways * weights[t]
+                    nxt[state] = nxt.get(state, 0) + ways * comb(t + m - 1, m - 1)
             else:
                 # in key order along delta, the first old state met on a line
                 # is its farthest back and so has the largest top; the walk
@@ -559,9 +549,6 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     of everything they read, so the count is the same as a cold one.
     """
     _check_netflow(graph, a)
-    total = sum(a)
-    if graph.kind is GraphKind.TYPE_A and total != 0:
-        return 0
-    if graph.kind is GraphKind.TYPE_C and (total < 0 or total % 2):
+    if not _positive_target(graph, a)[0]:
         return 0
     return _frontier(graph, a, graph.n_plus_1).get((), 0)

@@ -235,12 +235,7 @@ def delete_edges(
         if have < 1:
             raise MissingEdge(f"no copy of edge ({i},{j},{sign}) left to delete")
         mult[(i, j, sign)] = have - 1
-    frozen = tuple(
-        (i, j, sign, mult[(i, j, sign)])
-        for (i, j, sign) in sorted(mult, key=_edge_sort_key)
-        if mult[(i, j, sign)] > 0
-    )
-    return SignedMultigraph(n_plus_1=graph.n_plus_1, kind=graph.kind, edges=frozen)
+    return build_graph(graph.n_plus_1, graph.kind, [(*e, m) for e, m in mult.items()])
 
 
 def is_connected(graph: SignedMultigraph) -> bool:
@@ -313,8 +308,8 @@ def bv_hypothesis(graph: SignedMultigraph, theorem: Theorem) -> BVCondition:
     if not is_connected(graph):
         failures.append("graph is not connected")
 
-    for u, v in ((top[0], top[1]), (top[0], top[2]), (top[1], top[2])):
-        m = graph.multiplicity(u, v, NEG)
+    for u, v, sign in distinguished_edges(n):
+        m = graph.multiplicity(u, v, sign)
         if m != 1:
             failures.append(f"multiplicity of ({u},{v},-) is {m}, expected 1")
 
@@ -377,3 +372,15 @@ def netflow_y(a: Sequence[int]) -> int | None:
     if total % 2:
         return None
     return total // 2
+
+
+def _positive_target(
+    graph: SignedMultigraph, a: Sequence[int]
+) -> tuple[bool, int | None]:
+    """Whether ``a`` meets the kind's coordinate-sum constraint (zero total
+    on type A; even, nonnegative total on type C), without which no flow
+    exists, and the positive total y that flows carry (None on type A)."""
+    if graph.kind is GraphKind.TYPE_A:
+        return sum(a) == 0, None
+    y = netflow_y(a)
+    return y is not None and y >= 0, y

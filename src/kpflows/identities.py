@@ -41,6 +41,7 @@ from .graphs import (
     build_graph,
     bv_hypothesis,
     delete_edges,
+    distinguished_edges,
     is_connected,
     netflow_y,
 )
@@ -89,8 +90,7 @@ def _hypothesis(
     cond = bv_hypothesis(graph, theorem)
     if not cond.satisfied:
         return cond, None
-    n = graph.n
-    return cond, delete_edges(graph, [(n - 1, n, NEG)])
+    return cond, delete_edges(graph, distinguished_edges(graph.n)[:1])
 
 
 def _verify(
@@ -268,8 +268,8 @@ def generate_bv_family(
 
     for _attempt in range(100):
         edges: dict[tuple[int, int, str], int] = {}
-        for u, v in ((top[0], top[1]), (top[0], top[2]), (top[1], top[2])):
-            add(edges, u, v, NEG, 1)
+        for u, v, sign in distinguished_edges(n):
+            add(edges, u, v, sign, 1)
         for j in range(1, n - 1):
             for sign in signs:
                 if rng.random() < 0.75:
@@ -290,8 +290,8 @@ def generate_bv_family(
 
     # fallback: every row nonzero ties each early vertex to the top triangle
     edges = {}
-    for u, v in ((top[0], top[1]), (top[0], top[2]), (top[1], top[2])):
-        add(edges, u, v, NEG, 1)
+    for u, v, sign in distinguished_edges(n):
+        add(edges, u, v, sign, 1)
     half = (p - q) // 2
     for j in range(1, n - 1):
         add(edges, j, top[0], NEG, q)

@@ -35,8 +35,8 @@ vertex in [n-2], so the slots out of such a vertex i only lower its supply,
 which must end at 0; its *forced last slot* is exact because no later slot
 touches i.  The hypothesis check and H depend on G alone and are made once
 per graph by :func:`_fibration`, whose guard also puts a fiber's three
-coordinates in G's last three slots; H's roots come from the one root
-table, :func:`kpflows.counting._slot_table`.
+coordinates in G's last three slots; a partial flow's statistics come from
+the one root sum, :func:`kpflows.counting._root_sum`.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ from .errors import (
     InvalidFlow,
     NegativeExtension,
 )
-from .counting import FlowVector, _check_netflow, _frontier, _slot_table, _walk, check_flow
+from .counting import FlowVector, _check_netflow, _frontier, _root_sum, _walk, check_flow
 from .graphs import (
     GraphKind,
     SignedMultigraph,
     Theorem,
     _is_int,
+    _positive_target,
     bv_hypothesis,
     delete_edges,
     distinguished_edges,
-    netflow_y,
 )
 
 
@@ -98,18 +98,6 @@ def strip_distinguished(graph: SignedMultigraph) -> SignedMultigraph:
     return delete_edges(graph, distinguished_edges(graph.n))
 
 
-def _positive_target(
-    graph: SignedMultigraph, a: Sequence[int]
-) -> tuple[bool, int | None]:
-    """Whether ``a`` meets the kind's coordinate-sum constraint (zero total
-    on type A; even, nonnegative total on type C), and the positive total y
-    that partial flows must carry (None on type A)."""
-    if graph.kind is GraphKind.TYPE_A:
-        return sum(a) == 0, None
-    y = netflow_y(a)
-    return y is not None and y >= 0, y
-
-
 @lru_cache(maxsize=16)
 def _fibration(graph: SignedMultigraph) -> SignedMultigraph:
     """Check the hypothesis and build H; once per graph, since every fiber
@@ -141,20 +129,17 @@ def _partial_flow(
     """An H-flow with its statistics, and its netflow on 1..n-2, from its
     root combination.  Negative roots sum to 0 and positive ones (loops
     included) to 2, hence ``y_pos``."""
-    acc = [0] * h.n_plus_1
-    for entries, b in zip(_slot_table(h)[1], values):
-        if b:
-            for k, cf in entries:
-                acc[k] += cf * b
+    acc = _root_sum(h, values)
     inflows = (-acc[-3], -acc[-2], -acc[-1])
     return PartialFlow(tuple(values), inflows, sum(acc) // 2), acc[:-3]
 
 
 def _check_partial_flow(
     graph: SignedMultigraph, pf: PartialFlow, a: Sequence[int]
-) -> None:
+) -> tuple[int, int]:
     """Raise unless ``a`` is a netflow for G and ``pf`` a partial flow for
-    (graph, a) with its own statistics; one pass over H's slots."""
+    (graph, a) with its own statistics; one pass over H's slots.  Returns
+    the fiber's bounds ``L = Y_{n-1}+a_{n-1}`` and ``R = Y_n+a_n``."""
     _check_netflow(graph, a)
     h = _fibration(graph)
     if len(pf.values) != h.num_edges:
@@ -172,6 +157,7 @@ def _check_partial_flow(
     feasible, y = _positive_target(graph, a)
     if head != list(a[:-3]) or not feasible or own.y_pos != (y or 0):
         raise InvalidFlow("partial flow does not match the netflow")
+    return own.inflows[0] + a[-3], own.inflows[1] + a[-2]
 
 
 def enumerate_partial_flows(
@@ -205,16 +191,11 @@ def extend_unique(
     partial flow extends.  A ``pf`` that is not a partial flow for
     (graph, a) raises :class:`DimensionMismatch` or :class:`InvalidFlow`.
     """
-    _check_partial_flow(graph, pf, a)
-    n = graph.n
-    _, d2, d3 = distinguished_edges(n)
-    b_left = pf.inflows[0] + a[n - 2]
-    b_right = pf.inflows[1] + a[n - 1]
-    if b_left < 0 or b_right < 0:
-        raise NegativeExtension(
-            f"extension needs b{d2} = {b_left}, b{d3} = {b_right}"
-        )
-    return tuple(pf.values) + (b_left, b_right)
+    left, right = _check_partial_flow(graph, pf, a)
+    _, d2, d3 = distinguished_edges(graph.n)
+    if left < 0 or right < 0:
+        raise NegativeExtension(f"extension needs b{d2} = {left}, b{d3} = {right}")
+    return tuple(pf.values) + (left, right)
 
 
 def extend_with_index(
@@ -230,15 +211,14 @@ def extend_with_index(
     that is not a partial flow for (graph, a) raises
     :class:`DimensionMismatch` or :class:`InvalidFlow`.
     """
-    _check_partial_flow(graph, pf, a)
-    n = graph.n
-    cap = pf.inflows[0] + a[n - 2]
+    cap, right = _check_partial_flow(graph, pf, a)
     if not 0 <= k <= cap:
         raise IndexOutOfRange(f"index {k} outside fiber range 0..{cap}")
-    b_last = pf.inflows[1] + a[n - 1] + k
-    if b_last < 0:
-        raise NegativeExtension(f"extension needs b{distinguished_edges(n)[2]} = {b_last}")
-    return tuple(pf.values) + (k, cap - k, b_last)
+    if right + k < 0:
+        raise NegativeExtension(
+            f"extension needs b{distinguished_edges(graph.n)[2]} = {right + k}"
+        )
+    return tuple(pf.values) + (k, cap - k, right + k)
 
 
 def decompose(
@@ -266,10 +246,7 @@ def materialize_fiber(
     hypothesis check and H come from the per-graph :func:`_fibration`, and
     ``pf`` is validated once per fiber, as in :func:`extend_with_index`.
     """
-    _check_partial_flow(graph, pf, a)
-    n = graph.n
-    cap = pf.inflows[0] + a[n - 2]
-    right = pf.inflows[1] + a[n - 1]
+    cap, right = _check_partial_flow(graph, pf, a)
     values = tuple(pf.values)
     return [values + (k, cap - k, right + k) for k in range(max(0, -right), cap + 1)]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +47,23 @@ def _run(capsys, argv):
     code = run_cli(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _digit_limit():
+    """The interpreter's int-to-str digit limit; 0 (none) before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _decimal(value):
+    """``str(value)`` at any length."""
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestCount:
@@ -129,6 +147,18 @@ class TestCount:
         code, out, err = _run(capsys, ["count", "--graph", thick_edge_path, "--a", "[1,-1]",
                                        "--backend", "brute"])
         assert (code, out, err) == (0, "1500\n", "")
+
+    def test_count_beyond_digit_limit(self, capsys, tmp_path):
+        # comb(19999, 9999) has 6,019 digits, over the default limit of 4,300
+        p = tmp_path / "thick.json"
+        p.write_text(json.dumps({
+            "n_plus_1": 2, "kind": "A", "edges": [{"i": 1, "j": 2, "sign": "-", "mult": 10000}],
+        }))
+        limit = _digit_limit()
+        code, out, err = _run(capsys, ["count", "--graph", str(p), "--a", "[10000,-10000]"])
+        assert (code, err) == (0, "")
+        assert out == _decimal(math.comb(19999, 9999)) + "\n"
+        assert _digit_limit() == limit
 
     def test_output_file(self, capsys, tmp_path, g3_path):
         out_path = tmp_path / "result.txt"
@@ -227,6 +257,27 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
 
+    @pytest.mark.parametrize("case", [
+        "graph_deep", "a_deep", "a_file_deep", "a_long_integer", "graph_long_integer",
+    ])
+    def test_decoder_limits(self, capsys, tmp_path, g3_path, case):
+        # JSON the decoder cannot take (too deep to recurse into, or an
+        # integer over the digit limit) is an input error, not a crash
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        long_graph = tmp_path / "long.json"
+        long_graph.write_text('{"n_plus_1": ' + "9" * 5000 + ', "kind": "A", "edges": []}')
+        argv = {
+            "graph_deep": ["--graph", str(deep), "--a", "[1,0,-1]"],
+            "a_deep": ["--graph", g3_path, "--a", "[" * 100_000],
+            "a_file_deep": ["--graph", g3_path, "--a-file", str(deep)],
+            "a_long_integer": ["--graph", g3_path, "--a", "[" + "9" * 5000 + ",0,-1]"],
+            "graph_long_integer": ["--graph", str(long_graph), "--a", "[1,0,-1]"],
+        }[case]
+        code, out, err = _run(capsys, ["count"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [
         ["--campaign", "0"],
         ["--campaign", "2", "--a-max", "-1"],
@@ -258,6 +309,16 @@ class TestEnumerate:
         assert payload["returned"] == 1 and payload["truncated"] is True
         assert payload["flows"] == [[0, 1, 0]]
 
+    @pytest.mark.parametrize("limit", [str(2**63 - 1), str(10**30)])
+    def test_limit_beyond_any_list(self, capsys, g3_path, limit):
+        code, out, err = _run(
+            capsys, ["enumerate", "--graph", g3_path, "--a", "[1,0,-1]", "--limit", limit]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "returned": 2, "truncated": False, "flows": [[0, 1, 0], [1, 0, 1]],
+        }
+
     def test_thick_edge(self, capsys, thick_edge_path):
         code, out, err = _run(capsys, ["enumerate", "--graph", thick_edge_path,
                                        "--a", "[1,-1]", "--limit", "3"])
@@ -288,6 +349,25 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verdict"] is False
         assert payload["lhs"] == "7" and payload["rhs"] == "5"
+
+    def test_counts_beyond_digit_limit(self, capsys, tmp_path):
+        # 10,000 copies of (1,2) above the unit triangle on 2, 3, 4: c = 1
+        p = tmp_path / "thick_bv.json"
+        p.write_text(json.dumps({"n_plus_1": 4, "kind": "A", "edges": [
+            {"i": 1, "j": 2, "sign": "-", "mult": 10000},
+            {"i": 2, "j": 3, "sign": "-", "mult": 1},
+            {"i": 2, "j": 4, "sign": "-", "mult": 1},
+            {"i": 3, "j": 4, "sign": "-", "mult": 1},
+        ]}))
+        limit = _digit_limit()
+        code, out, err = _run(capsys, ["verify", "--theorem", "a", "--graph", str(p),
+                                       "--a", "[10000,0,0,-10000]"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["lhs"] == _decimal(math.comb(19999, 9999) * 10001)
+        assert payload["rhs"] == _decimal(math.comb(19999, 9999))
+        assert payload["multiplier"] == {"num": 10001, "den": 1}
+        assert _digit_limit() == limit
 
     def test_skipped_exit_three(self, capsys, mixed_path):
         code, out, _ = _run(

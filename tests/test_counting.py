@@ -334,6 +334,12 @@ class TestEnumerate:
             enumerate_flows(g3, (1, 0, -1), limit=1, require_complete=True)
         assert len(enumerate_flows(g3, (1, 0, -1), limit=2, require_complete=True)) == 2
 
+    @pytest.mark.parametrize("limit", [2**63 - 1, 2**63, 10**30])
+    def test_limit_beyond_any_list(self, g3, limit):
+        # islice rejects a stop above sys.maxsize; no list is that long anyway
+        assert enumerate_flows(g3, (1, 0, -1), limit=limit) == [(0, 1, 0), (1, 0, 1)]
+        assert len(enumerate_flows(g3, (1, 0, -1), limit=limit, require_complete=True)) == 2
+
     def test_bad_limit(self, g3):
         with pytest.raises(ValueError):
             enumerate_flows(g3, (1, 0, -1), limit=0)
