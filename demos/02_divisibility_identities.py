@@ -84,7 +84,7 @@ rng = random.Random(1)
 violations = 0
 checked = 0
 for seed in range(12):
-    g = generate_bv_family(4, "A", Theorem.TYPE_A, 2, seed)
+    g = generate_bv_family(4, Theorem.TYPE_A, 2, seed)
     for _ in range(3):
         head = [rng.randint(0, 4) for _ in range(3)]
         a = tuple(head) + (-sum(head),)

@@ -44,9 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact flow counts on signed multigraphs and their divisibility identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    theorems = [t.value for t in Theorem]
 
-    def add_graph_and_netflow(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--graph", required=True, help="path to graph JSON")
+    def add_graph_and_netflow(p: argparse.ArgumentParser, required: bool = True) -> None:
+        p.add_argument("--graph", required=required, help="path to graph JSON")
         p.add_argument("--a", help="netflow as an inline JSON array, e.g. \"[1,0,-1]\"")
         p.add_argument("--a-file", help="path to netflow JSON {\"a\": [...]}")
 
@@ -56,21 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("dp", "brute", "partial"), default="dp",
         help="counting algorithm (default dp)",
     )
-    p_count.add_argument("-o", "--output", help="write output here instead of stdout")
 
     p_enum = sub.add_parser("enumerate", help="list flows in lexicographic order")
     add_graph_and_netflow(p_enum)
     p_enum.add_argument("--limit", type=int, help="stop after this many flows")
-    p_enum.add_argument("-o", "--output")
 
     p_verify = sub.add_parser("verify", help="check a divisibility identity")
-    p_verify.add_argument(
-        "--theorem", required=True, choices=("a", "c31", "c32"),
-        help="identity variant",
-    )
-    p_verify.add_argument("--graph", help="path to graph JSON")
-    p_verify.add_argument("--a", help="netflow as an inline JSON array")
-    p_verify.add_argument("--a-file", help="path to netflow JSON")
+    p_verify.add_argument("--theorem", required=True, choices=theorems, help="identity variant")
+    add_graph_and_netflow(p_verify, required=False)
     p_verify.add_argument(
         "--campaign", type=int, metavar="SEEDS",
         help="batch mode: verify generated instances for seeds 0..SEEDS-1",
@@ -79,27 +73,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-mult", type=int, default=2, help="campaign multiplicity cap")
     p_verify.add_argument("--netflows-per-seed", type=int, default=3)
     p_verify.add_argument("--a-max", type=int, default=3, help="campaign supply cap")
-    p_verify.add_argument("-o", "--output")
 
     p_wit = sub.add_parser("witness", help="dump the partial-flow fibration")
     add_graph_and_netflow(p_wit)
-    p_wit.add_argument("-o", "--output")
 
     p_gen = sub.add_parser("generate", help="emit a random hypothesis-satisfying graph")
     p_gen.add_argument("--n-plus-1", type=int, required=True)
-    p_gen.add_argument("--theorem", required=True, choices=("a", "c31", "c32"))
-    p_gen.add_argument("--kind", choices=("A", "C", "a", "c"),
-                       help="graph kind; defaults to the theorem's kind")
+    p_gen.add_argument("--theorem", required=True, choices=theorems)
     p_gen.add_argument("--max-mult", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("-o", "--output")
 
     p_cat = sub.add_parser(
         "catalan", help="compare the staircase count on the complete graph to the Catalan product"
     )
     p_cat.add_argument("--n", type=int, required=True)
-    p_cat.add_argument("-o", "--output")
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", help="write output here instead of stdout")
     return parser
 
 
@@ -261,7 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     n_true = n_false = n_skip = 0
     for seed in range(args.campaign):
-        graph = generate_bv_family(args.n_plus_1, kind, theorem, args.max_mult, seed)
+        graph = generate_bv_family(args.n_plus_1, theorem, args.max_mult, seed)
         for a in _campaign_netflows(kind, graph.n, args.netflows_per_seed, args.a_max, seed):
             report, code = _verify_one(graph, a, theorem)
             reports.append((seed, a, report))
@@ -303,13 +293,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    theorem = Theorem(args.theorem)
-    if args.kind is not None and GraphKind(args.kind.upper()) is not theorem.kind:
-        raise _InputError(f"--kind {args.kind} conflicts with --theorem {args.theorem}")
-    try:
-        graph = generate_bv_family(args.n_plus_1, theorem.kind, theorem, args.max_mult, args.seed)
-    except KPFlowsError as exc:
-        raise _InputError(str(exc))
+    graph = generate_bv_family(args.n_plus_1, Theorem(args.theorem), args.max_mult, args.seed)
     _emit(args, lambda: json.dumps(graph.to_json_dict()))
     return 0
 

@@ -172,7 +172,7 @@ def _walk(
     n1 = graph.n_plus_1
     slots, roots = _slot_table(graph)
     n_slots = len(slots)
-    u = [n1 - k if k < m else 0 for k in range(n1)]
+    u = [w if k < m else 0 for k, w in enumerate(vertex_weights(n1))]
     left = sum(u[k] * a[k] for k in range(m))  # the budget, less what is set
     if left < 0:
         return
@@ -244,8 +244,11 @@ def _walk(
 
 
 def brute_force_count(graph: SignedMultigraph, a: Sequence[int]) -> int:
-    """Ground-truth count by exhaustive enumeration; exponential time."""
+    """Ground-truth count by exhaustive enumeration; exponential time.  A
+    netflow whose coordinate sum admits no flow counts 0 without a walk."""
     _check_netflow(graph, a)
+    if not _positive_target(graph, a)[0]:
+        return 0
     return sum(1 for _ in _walk(graph, a, graph.n_plus_1))
 
 
@@ -263,6 +266,8 @@ def enumerate_flows(
     _check_netflow(graph, a)
     if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
+    if not _positive_target(graph, a)[0]:
+        return []
     walk = _walk(graph, a, graph.n_plus_1)
     # islice takes no stop above sys.maxsize, and no list holds more flows
     out = list(islice(walk, None if limit is None else min(limit, sys.maxsize)))
@@ -513,12 +518,10 @@ def _frontier(
                 ways *= comb(rem // 2 + loops - 1, loops - 1)
             elif rem:
                 continue
-            if v < n1:
-                state = key // radix + supply
-                if v < last and state % radix < big:  # negative arrival
-                    continue
-            else:
-                state = 0
+            # after vertex n+1 the key has one digit and the supply is 0
+            state = key // radix + supply
+            if v < last and state % radix < big:  # negative arrival
+                continue
             nxt[state] = nxt.get(state, 0) + ways
         frontier = nxt
     width = n1 - last

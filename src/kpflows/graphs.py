@@ -241,8 +241,6 @@ def delete_edges(
 def is_connected(graph: SignedMultigraph) -> bool:
     """Connectivity of the underlying undirected multigraph, signs ignored."""
     n1 = graph.n_plus_1
-    if n1 == 1:
-        return True
     adj: dict[int, set[int]] = {v: set() for v in range(1, n1 + 1)}
     for i, j, _sign, _m in graph.edges:
         if i != j:

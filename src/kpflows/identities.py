@@ -42,7 +42,6 @@ from .graphs import (
     bv_hypothesis,
     delete_edges,
     distinguished_edges,
-    is_connected,
     netflow_y,
 )
 
@@ -70,14 +69,6 @@ class IdentityReport(NamedTuple):
     multiplier: Fraction | None = None
     verdict: bool | None = None
     notes: tuple[str, ...] = ()
-
-    @property
-    def multiplier_num(self) -> int | None:
-        return None if self.multiplier is None else self.multiplier.numerator
-
-    @property
-    def multiplier_den(self) -> int | None:
-        return None if self.multiplier is None else self.multiplier.denominator
 
 
 @lru_cache(maxsize=16)
@@ -207,32 +198,27 @@ def _ratio_candidates(max_mult: int) -> list[tuple[int, int]]:
     two entries."""
     out = []
     for q in range(1, max_mult + 1):
-        for p in range(q, 3 * max_mult + 1):
-            if gcd(p, q) == 1 and p - q <= 2 * max_mult:
+        for p in range(q, q + 2 * max_mult + 1):
+            if gcd(p, q) == 1:
                 out.append((p, q))
     return out
 
 
 def generate_bv_family(
-    n_plus_1: int,
-    kind: GraphKind | str,
-    theorem: Theorem,
-    max_mult: int,
-    seed: int,
+    n_plus_1: int, theorem: Theorem, max_mult: int, seed: int
 ) -> SignedMultigraph:
-    """Deterministically sample a connected graph satisfying the hypothesis.
+    """Deterministically sample a graph of ``theorem.kind`` satisfying the
+    theorem's hypothesis (connectivity included).
 
     A ratio c = p/q is drawn first; each row toward the last three vertices
     is then either left empty or solved to have exactly that ratio, with all
     multiplicities at most ``max_mult``.  Extra edges (and, on type C, loops
     and positive edges where the variant permits) are sprinkled among the
-    first n-2 vertices.  Resamples until connected, with a deterministic
-    all-rows-nonzero fallback.
+    first n-2 vertices.  Resamples until the hypothesis holds, with a
+    deterministic all-rows-nonzero fallback.
     """
-    kind = GraphKind(kind)
     theorem = Theorem(theorem)
-    if kind is not theorem.kind:
-        raise ValueError(f"kind {kind.value} does not match theorem {theorem.value}")
+    kind = theorem.kind
     if n_plus_1 < 3:
         raise InfeasibleParams("need at least 3 vertices")
     if max_mult < 1:
@@ -285,7 +271,7 @@ def generate_bv_family(
                 if rng.random() < 0.2:
                     add(edges, i, i, POS, rng.randint(1, max_mult))
         graph = assemble(edges)
-        if is_connected(graph) and _hypothesis(graph, theorem)[0].satisfied:
+        if _hypothesis(graph, theorem)[0].satisfied:
             return graph
 
     # fallback: every row nonzero ties each early vertex to the top triangle

@@ -47,7 +47,7 @@ def identity_corpus(theorem: Theorem, instances: int, seed0: int = 0,
     g_index = 0
     while len(pairs) < instances:
         n_plus_1 = sizes[g_index % len(sizes)]
-        graph = generate_bv_family(n_plus_1, kind, theorem, max_mult, seed0 + g_index)
+        graph = generate_bv_family(n_plus_1, theorem, max_mult, seed0 + g_index)
         rng = random.Random(9_000_001 * (seed0 + g_index) + 7)
         n = graph.n
         for _ in range(netflows_per_graph):

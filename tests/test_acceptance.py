@@ -237,7 +237,7 @@ def test_criterion_5_type_c_mixed_identity_interior_domain():
         from kpflows import generate_bv_family
 
         graph = generate_bv_family(
-            4 if seed % 3 else 5, "C", Theorem.TYPE_C_MIXED, 2, 3100 + seed
+            4 if seed % 3 else 5, Theorem.TYPE_C_MIXED, 2, 3100 + seed
         )
         n = graph.n
         for _ in range(3):

@@ -289,6 +289,40 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case,expected", [
+        ("edges_not_a_list", "field 'edges' must be a list"),
+        ("edge_not_an_object", "edges[1] must be an object"),
+        ("a_file_without_a", "must be an object with field 'a'"),
+        ("limit_zero", "--limit must be a positive integer"),
+        ("verify_without_graph", "verify needs --graph (or --campaign)"),
+        ("generate_two_vertices", "need at least 3 vertices"),
+        ("generate_max_mult_zero", "max_mult must be at least 1"),
+    ])
+    def test_input_error_paths(self, capsys, tmp_path, g3_path, case, expected):
+        edges_dict = tmp_path / "edges_dict.json"
+        edges_dict.write_text(json.dumps({"n_plus_1": 3, "kind": "A", "edges": {}}))
+        edge_list = tmp_path / "edge_list.json"
+        edge_list.write_text(json.dumps({"n_plus_1": 3, "kind": "A", "edges": [
+            {"i": 1, "j": 2, "sign": "-", "mult": 1}, [1, 3, "-", 1]]}))
+        no_a = tmp_path / "no_a.json"
+        no_a.write_text('{"b": [1, 0, -1]}')
+        argv = {
+            "edges_not_a_list": ["count", "--graph", str(edges_dict), "--a", "[1,0,-1]"],
+            "edge_not_an_object": ["count", "--graph", str(edge_list), "--a", "[1,0,-1]"],
+            "a_file_without_a": ["count", "--graph", g3_path, "--a-file", str(no_a)],
+            "limit_zero": ["enumerate", "--graph", g3_path, "--a", "[1,0,-1]", "--limit", "0"],
+            "verify_without_graph": ["verify", "--theorem", "c31", "--a", "[1,0,-1]"],
+            "generate_two_vertices": ["generate", "--n-plus-1", "2", "--theorem", "a"],
+            "generate_max_mult_zero": [
+                "generate", "--n-plus-1", "4", "--theorem", "c32", "--max-mult", "0"],
+        }[case]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
+        if case.startswith("generate"):
+            assert err == f"error: {expected}\n"
+
 
 class TestEnumerate:
     def test_full_list(self, capsys, g3_path):
@@ -483,13 +517,6 @@ class TestGenerate:
             capsys, ["witness", "--graph", str(out_path), "--a", "[2,1,1,0]"]
         )
         assert code == 0
-
-    def test_kind_conflict(self, capsys):
-        code, _, err = _run(
-            capsys,
-            ["generate", "--n-plus-1", "4", "--theorem", "a", "--kind", "C"],
-        )
-        assert code == 2 and "conflicts" in err
 
 
 class TestCatalan:

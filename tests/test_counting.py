@@ -354,6 +354,57 @@ class TestEnumerate:
         assert all(check_flow(gc, f, (4, 0, 0, -2)) for f in flows)
 
 
+def _infeasible_netflow(rng, kind, n_plus_1):
+    """A netflow whose coordinate sum rules out every flow: nonzero on type
+    A; odd or negative on type C."""
+    while True:
+        a = tuple(rng.randint(-3, 4) for _ in range(n_plus_1))
+        total = sum(a)
+        if (total != 0) if kind == "A" else (total % 2 or total < 0):
+            return a
+
+
+class TestOracleGate:
+    """The oracle answers a netflow with an impossible coordinate sum at
+    once, as ``count`` does, instead of walking for it."""
+
+    def test_six_vertex_graph_without_flows(self):
+        # a nonzero total; the walk alone searched this for seconds
+        g = build_graph(6, "A", [
+            (1, 3, "-", 2), (1, 5, "-", 4), (1, 6, "-", 3), (2, 6, "-", 2), (3, 4, "-", 4),
+            (3, 5, "-", 4), (3, 6, "-", 4), (4, 5, "-", 3), (4, 6, "-", 2), (5, 6, "-", 4),
+        ])
+        a = (4, 1, 1, 2, 3, 0)
+        assert brute_force_count(g, a) == 0
+        assert enumerate_flows(g, a) == []
+        assert enumerate_flows(g, a, limit=1, require_complete=True) == []
+
+    @pytest.mark.parametrize("kind,a", [
+        ("A", (1, 0, 0, 0)),  # nonzero sum
+        ("A", (0, 0, 0, -1)),
+        ("C", (1, 0, 0, 0)),  # odd sum
+        ("C", (0, 0, 0, -2)),  # negative sum
+    ])
+    def test_walk_not_entered(self, monkeypatch, k4, gc, kind, a):
+        def no_walk(*args):
+            raise AssertionError("walk entered")
+
+        monkeypatch.setattr(counting, "_walk", no_walk)
+        g = k4 if kind == "A" else gc
+        assert brute_force_count(g, a) == 0
+        assert enumerate_flows(g, a) == []
+        assert enumerate_flows(g, a, limit=3) == []
+
+    def test_ungated_walk_finds_nothing(self):
+        # the gate restates a rule the walk obeys on its own
+        rng = random.Random(4242)
+        for case in range(60):
+            kind = "A" if case % 2 else "C"
+            g = random_graph(rng, kind, rng.randint(2, 4))
+            a = _infeasible_netflow(rng, kind, g.n_plus_1)
+            assert list(counting._walk(g, a, g.n_plus_1)) == [], (g, a)
+
+
 class TestOracleAgreement:
     def test_seeded_corpus(self):
         rng = random.Random(20260808)

@@ -5,6 +5,7 @@ import pytest
 
 from kpflows import (
     DimensionMismatch,
+    GraphKind,
     InfeasibleParams,
     Theorem,
     brute_force_count,
@@ -152,7 +153,7 @@ class TestVerifyTypeC:
         rng = random.Random(4242)
         checked = 0
         for seed in range(30):
-            g = generate_bv_family(4, "C", Theorem.TYPE_C_MIXED, 2, seed)
+            g = generate_bv_family(4, Theorem.TYPE_C_MIXED, 2, seed)
             n = g.n
             for _ in range(4):
                 head = [rng.randint(0, 3) for _ in range(n)]
@@ -200,8 +201,8 @@ class TestMixedBoundary:
 
 class TestGenerator:
     def test_deterministic(self):
-        g1 = generate_bv_family(5, "A", Theorem.TYPE_A, 3, 7)
-        g2 = generate_bv_family(5, "A", Theorem.TYPE_A, 3, 7)
+        g1 = generate_bv_family(5, Theorem.TYPE_A, 3, 7)
+        g2 = generate_bv_family(5, Theorem.TYPE_A, 3, 7)
         assert g1 == g2
 
     @pytest.mark.parametrize("theorem,kind", [
@@ -212,12 +213,13 @@ class TestGenerator:
     def test_outputs_satisfy_hypothesis(self, theorem, kind):
         for seed in range(25):
             for n_plus_1 in (3, 4, 5):
-                g = generate_bv_family(n_plus_1, kind, theorem, 2, seed)
+                g = generate_bv_family(n_plus_1, theorem, 2, seed)
+                assert g.kind is GraphKind(kind)
                 assert bv_hypothesis(g, theorem).satisfied
 
     def test_all_negative_variant_keeps_top_clean(self):
         for seed in range(15):
-            g = generate_bv_family(4, "C", Theorem.TYPE_C_NEGATIVE, 2, seed)
+            g = generate_bv_family(4, Theorem.TYPE_C_NEGATIVE, 2, seed)
             top = (2, 3, 4)
             for i, j, s, _m in g.edges:
                 assert not (s == "+" and (i in top or j in top))
@@ -227,21 +229,15 @@ class TestGenerator:
         hits = [
             seed
             for seed in range(60)
-            if generate_bv_family(4, "A", Theorem.TYPE_A, 1, seed) == k4
+            if generate_bv_family(4, Theorem.TYPE_A, 1, seed) == k4
         ]
         assert hits, "K4 should appear among unit-multiplicity outputs"
 
     def test_infeasible_params(self):
         with pytest.raises(InfeasibleParams):
-            generate_bv_family(2, "A", Theorem.TYPE_A, 1, 0)
+            generate_bv_family(2, Theorem.TYPE_A, 1, 0)
         with pytest.raises(InfeasibleParams):
-            generate_bv_family(4, "A", Theorem.TYPE_A, 0, 0)
-
-    def test_kind_theorem_mismatch(self):
-        with pytest.raises(ValueError):
-            generate_bv_family(4, "C", Theorem.TYPE_A, 1, 0)
-        with pytest.raises(ValueError):
-            generate_bv_family(4, "A", Theorem.TYPE_C_NEGATIVE, 1, 0)
+            generate_bv_family(4, Theorem.TYPE_A, 0, 0)
 
 
 NEG_NOTE = ("supplies a_1..a_n contain negative entries",)

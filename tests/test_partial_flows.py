@@ -224,7 +224,7 @@ class TestSlotLayout:
             for n_plus_1 in range(3, 8):
                 for max_mult in (1, 2, 3):
                     for seed in range(3):
-                        yield generate_bv_family(n_plus_1, theorem.kind, theorem, max_mult, seed)
+                        yield generate_bv_family(n_plus_1, theorem, max_mult, seed)
 
     def test_distinguished_edges_fill_the_last_three_slots(self, g3, k4, gc, gc_mixed,
                                                            mixed_no_loop):
@@ -419,6 +419,42 @@ class TestAveragingIdentity:
         for theorem in (Theorem.TYPE_A, Theorem.TYPE_C_NEGATIVE, Theorem.TYPE_C_MIXED):
             for g, a in identity_corpus(theorem, 15, seed0=41):
                 self._assert_averaging(g, a)
+
+
+class TestNegativeExtensionPaths:
+    """On the nine-edge mixed-sign witness at netflow (2, 0, 0, 0), the band
+    ``y = min(a_{n-1}, a_n) + 1`` of the stated domain, some partial flows
+    do not extend."""
+
+    A = (2, 0, 0, 0)
+
+    def test_extend_unique_raises_on_four_of_nine(self, mixed_no_loop):
+        pfs = enumerate_partial_flows(mixed_no_loop, self.A)
+        messages = {}
+        for pf in pfs:
+            try:
+                extend_unique(mixed_no_loop, pf, self.A)
+            except NegativeExtension as exc:
+                messages[pf.values] = str(exc)
+        assert len(pfs) == 9 and len(messages) == 4
+        assert messages[(1, 0, 0, 1, 0, 0)] == (
+            "extension needs b(2, 4, '-') = 1, b(3, 4, '-') = -1"
+        )
+
+    def test_extend_with_index_and_fiber(self, mixed_no_loop):
+        raised = []
+        for pf in enumerate_partial_flows(mixed_no_loop, self.A):
+            members = []
+            for k in range(pf.inflows[0] + self.A[1] + 1):
+                try:
+                    members.append(extend_with_index(mixed_no_loop, pf, self.A, k))
+                except NegativeExtension as exc:
+                    raised.append((pf.values, k, str(exc)))
+            assert materialize_fiber(mixed_no_loop, pf, self.A) == members
+        assert raised == [
+            ((0, 0, 0, 1, 1, 0), 0, "extension needs b(3, 4, '-') = -1"),
+            ((1, 0, 0, 1, 0, 0), 0, "extension needs b(3, 4, '-') = -1"),
+        ]
 
 
 class TestNegativeSupplyBoundary:
