@@ -8,7 +8,7 @@ G's edge copies.  Two independent algorithms are provided:
   enumeration by :func:`_walk`, which also lists the partial flows of
   :mod:`kpflows.partial_flows`.  It sets edge copies one at a time in
   canonical order, smallest value first, keeping its position in per-slot
-  arrays, not on the call stack.  Three prunes, each cutting only branches
+  arrays, not on the call stack.  Four prunes, each cutting only branches
   that hold no flow, so the lexicographic order is unchanged:
 
   - *weighted budget*: under ``w_i = n+2-i`` every root has weight >= 1, so
@@ -19,7 +19,11 @@ G's edge copies.  Two independent algorithms are provided:
     required 0; hence ``s_i < 0`` is dead and a slot out of i takes at most
     ``residual_i // cf``;
   - *forced last slot*: no slot after the last one out of i touches i, so
-    that slot must take exactly ``residual_i / cf``, and a remainder is dead.
+    that slot must take exactly ``residual_i / cf``, and a remainder is dead;
+  - *settle rule*: every residual must end at 0, so once no later slot can
+    lower coordinate k, ``residual_k <= 0``, and once none can raise it,
+    ``residual_k >= 0``; a coordinate's last slot leaves it at 0, and a
+    nonzero supply that no slot can cancel is dead before the walk starts.
 * :func:`count` — a bottom-up dynamic program over edge groups (vertices in
   increasing label order, each vertex's out-groups in canonical order).  Its
   frontier of residual states merges the partial assignments that agree on
@@ -33,9 +37,7 @@ G's edge copies.  Two independent algorithms are provided:
   ``key + t*delta`` at a time: every state on a line reaches the same last
   state, so one walk with m running sums (the hockey-stick identity gives
   the weights ``comb(t+m-1, m-1)``) stores each new state once, instead of
-  merging one entry per (state, t) pair.  The frontier on entry to vertex
-  n-1 is kept in a one-entry memo, so a count of G - (n-1, n) after one of
-  G with the same netflow resumes there.
+  merging one entry per (state, t) pair.
   States that have placed more positive flow than ``y = sum(a)/2`` (type C)
   are cut, and after the last positive source the positive total must be y.
 
@@ -46,10 +48,11 @@ and must not be truncated.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import islice
-from math import comb
+from math import comb, inf
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, LimitExceeded
 from .graphs import NEG, POS, Edge, SignedMultigraph, _is_int, _positive_target, root_of_edge
@@ -165,9 +168,8 @@ def _walk(
     partial flows, and ``y_target``, if given, pins their total flow on
     positive slots (loops included).  Every slot's smaller endpoint must lie
     in ``1..m``.  A depth-first walk over edge copies in canonical order,
-    kept on per-slot arrays instead of the call stack, with the weighted
-    budget, the supply bound and the forced last slot of the module
-    docstring as its prunes.
+    kept on per-slot arrays instead of the call stack, with the four prunes
+    of the module docstring.
     """
     n1 = graph.n_plus_1
     slots, roots = _slot_table(graph)
@@ -181,10 +183,19 @@ def _walk(
     src = [i - 1 for i, _, _ in slots]
     step = [r[0][1] for r in roots]  # the coefficient at the source, its first entry
     forced = [s != nxt for s, nxt in zip(src, src[1:] + [-1])]
-    # the first slot out of a source checks that the coordinates since the
-    # previous source are zero (that source's own was zeroed by its forced
-    # slot) and that its supply is nonnegative
-    gate = [(p + 1, s) if s != p else None for s, p in zip(src, [-1] + src)]
+    # entering slot t, the target k of slot t-1 must lie in [lo, hi]: lo = 0
+    # once no later slot raises k, hi = 0 once none lowers it
+    settle = [None] * (n_slots + 1)
+    lowered, raised = set(), set()  # by the slots after t
+    for t in reversed(range(n_slots)):
+        if len(entries[t]) > 1:
+            k = entries[t][1][0]
+            settle[t + 1] = (k, -inf if k in raised else 0, inf if k in lowered else 0)
+        for k, cf in entries[t]:
+            (lowered if cf > 0 else raised).add(k)
+    if any(x > 0 and k not in lowered or x < 0 and k not in raised
+           for k, x in enumerate(a[:m])):
+        return
     pinned = [y_target is not None and sign == POS for _, _, sign in slots]
     residual = list(a[:m])
     buf = [0] * n_slots
@@ -192,15 +203,15 @@ def _walk(
     t = 0
     while True:
         # slot t is entered with buf[t] = 0
-        if t == n_slots:
-            if not any(residual) and (y_target is None or pos_used == y_target):
+        if (g := settle[t]) and not g[1] <= residual[g[0]] <= g[2]:
+            pass  # dead: no later slot can bring that target to 0
+        elif t == n_slots:
+            if y_target is None or pos_used == y_target:
                 yield tuple(buf)
-        elif (g := gate[t]) is None or (
-            not any(residual[g[0]:g[1]]) and residual[src[t]] >= 0
-        ):
-            if not forced[t]:
-                t += 1
-                continue
+        elif not forced[t]:
+            t += 1
+            continue
+        else:
             v, r = divmod(residual[src[t]], step[t])
             if (
                 not r
@@ -276,11 +287,6 @@ def enumerate_flows(
             f"more than {limit} flows exist but completeness was requested"
         )
     return out
-
-
-# (key, packed frontier on entry to vertex n-1) of the last _frontier call
-# that ran the layers of 1..n-2 for a count; rebound, never mutated
-_prefix_memo: tuple[object, dict[int, int]] = (None, {})
 
 
 def _frontier(
@@ -374,43 +380,15 @@ def _frontier(
     ``M = (key + off_v) % 2K - K`` exactly, with ``off_v = (K - width*K) %
     2K`` compiled once per vertex, and ``Phi = M + a_{v+1} + ... +
     a_{n+1}``.
-
-    Each identity check counts G and then G - (n-1, n) with the same
-    netflow, and the two graphs differ only in one edge out of vertex n-1,
-    so their layers of vertices ``1..n-2`` are the same.  A call with ``last
-    > n-2 >= 1`` therefore keeps the packed frontier on entry to vertex n-1
-    in a one-entry memo, ``_prefix_memo``, and a later call with the same
-    key resumes there.  The key holds everything those layers read:
-
-    - ``a``: the radix, the bias, the supplies and the Phi offsets, and,
-      through its length ``n+1``, the number of digits;
-    - the edges out of ``1..n-2``, a prefix of the sorted ``graph.edges``:
-      the out-groups with their deltas and multiplicities, and the loops;
-    - v_p if ``v_p <= n-2``, else the marker n-1: those layers read v_p only
-      through ``v == v_p``, which no later v_p makes true.
-
-    Resuming is exact.  The layers of ``1..n-2`` are a function of the key
-    alone; for every ``last > n-2`` they drop the negative arrivals at n-1
-    alike, so the stored frontier does not depend on ``last``; and on entry
-    to vertex n-1 the remaining tail is ``a_{n-1} + a_n + a_{n+1}``.  A
-    call with ``last = n-2`` keeps negative arrivals at n-1 (the partial
-    backend's frontier), so it neither reads nor writes the memo; nor does
-    a graph on 3 vertices, which has no layer to share.  The memo is one
-    ``(key, frontier)`` pair rebound in one assignment and never mutated; a
-    hit copies the stored dict, because the loop pops from its frontier.
     """
-    global _prefix_memo
     n1 = graph.n_plus_1
-    split = n1 - 3  # vertex n-2
     big = sum(abs(x) for x in a) + 1
     wrap = 2 * big
     radix = wrap + 1
     out_groups: dict[int, list[tuple[int, int, bool]]] = {}
     loop_mult: dict[int, int] = {}
     last_positive = 0  # v_p, the last vertex with a positive out-edge or loop
-    shared = 0  # edges out of 1..n-2, a prefix of graph.edges
     for i, j, sign, m in graph.edges:  # sorted by i; every loop is positive
-        shared += i <= split
         positive = sign == POS
         if positive:
             last_positive = i
@@ -428,18 +406,7 @@ def _frontier(
     if a[0] >= 0 or last == 0:
         # every digit holds its bias K; the supply digit adds a_1
         frontier[big * (radix**n1 - 1) // (radix - 1) + a[0]] = 1
-    start = 1
-    store = 0  # the vertex on whose entry a miss stores its frontier
-    if last > split >= 1:
-        memo_key = (tuple(a), graph.edges[:shared], min(last_positive, split + 1))
-        stored_key, stored = _prefix_memo
-        if stored_key == memo_key:
-            start, tail, frontier = split + 1, sum(a[split:]), dict(stored)
-        else:
-            store = split + 1
-    for v in range(start, last + 1):
-        if v == store:
-            _prefix_memo = (memo_key, dict(frontier))
+    for v in range(1, last + 1):
         groups = out_groups.get(v, ())
         loops = loop_mult.get(v, 0)
         supply = a[v] if v < n1 else 0
@@ -535,6 +502,17 @@ def _frontier(
     return out
 
 
+@lru_cache(maxsize=1)
+def _fiber_states(
+    head: SignedMultigraph, a: tuple[int, ...]
+) -> Mapping[tuple[int, ...], int]:
+    """``_frontier(head, a, n-2)`` for the last head and netflow asked: the
+    inflow states ``(L, Y_n, Y_{n+1})`` of the flows on ``head``.  One entry,
+    shared by :func:`count` and ``partial_flows.count_via_partial``, so it
+    is handed out read-only."""
+    return MappingProxyType(_frontier(head, a, head.n_plus_1 - 3))
+
+
 def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     """Number of nonnegative integer a-flows; equals brute_force_count always.
 
@@ -542,16 +520,32 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     label order (see :func:`_frontier`): after the layers of all ``n+1``
     vertices the frontier holds the single state ``()``, and its number of
     ways is the count.  There is no recursion, so a graph of any length is
-    counted.  ``partial_flows.count_via_partial`` stops the same DP after
-    vertex ``n-2`` and reads the partial-flow fibration off its frontier.
+    counted.
 
-    A count of G - (n-1, n) right after one of G with the same netflow, as
-    every identity check makes, resumes from G's frontier on entry to vertex
-    n-1 instead of re-running the layers of ``1..n-2``: they see no edge out
-    of n-1, and :func:`_frontier` keeps the last such frontier under a key
-    of everything they read, so the count is the same as a cold one.
+    When the edges out of n-1, n and n+1 are the unit triangle among them
+    (every hypothesis graph G, every complete graph) or the unit pair into
+    n+1 (G - (n-1, n)), the count is read off the frontier after vertex n-2
+    of the head, the edges out of ``1..n-2``.  A state ``(L, Y_n, Y_{n+1})``
+    with w ways and ``R = Y_n + a_n`` sends k units on (n-1, n), ``L - k``
+    on (n-1, n+1) and ``R + k`` on (n, n+1), so it adds ``w * max(0, L + 1
+    - max(0, -R))`` flows on the triangle and ``w * [R >= 0]`` (k = 0) on
+    the pair.  This is exact: no edge after n-2 is positive, so ``v_p <=
+    n-2`` and every state has ``Phi = 0``, which balances vertex n+1; the
+    states with ``L < 0`` are the ones the full DP drops on arrival at n-1.
+    Through :func:`_fiber_states`, the counts of G and G - (n-1, n) of an
+    identity check and the partial backend share one pass.
     """
     _check_netflow(graph, a)
     if not _positive_target(graph, a)[0]:
         return 0
-    return _frontier(graph, a, graph.n_plus_1).get((), 0)
+    n, edges = graph.n, graph.edges
+    triangle = ((n - 1, n, NEG, 1), (n - 1, n + 1, NEG, 1), (n, n + 1, NEG, 1))
+    tail = tuple(e for e in edges if e[0] >= n - 1)
+    if tail not in (triangle, triangle[1:]):
+        return _frontier(graph, a, graph.n_plus_1).get((), 0)
+    states = _fiber_states(graph._replace(edges=edges[: -len(tail)]), tuple(a))
+    a_n = a[n - 1]
+    fibers = [(left, y_n + a_n, ways) for (left, y_n, _), ways in states.items() if left >= 0]
+    if tail == triangle:
+        return sum(ways * max(0, left + 1 - max(0, -right)) for left, right, ways in fibers)
+    return sum(ways for _, right, ways in fibers if right >= 0)

@@ -34,9 +34,9 @@ constrained.  Its *supply bound* is exact because every H-edge leaves a
 vertex in [n-2], so the slots out of such a vertex i only lower its supply,
 which must end at 0; its *forced last slot* is exact because no later slot
 touches i.  The hypothesis check and H depend on G alone and are made once
-per graph by :func:`_fibration`, whose guard also puts a fiber's three
-coordinates in G's last three slots; a partial flow's statistics come from
-the one root sum, :func:`kpflows.counting._root_sum`.
+per graph by :func:`_fibration`; the hypothesis also puts a fiber's three
+coordinates in G's last three slots, and a partial flow's statistics come
+from the one root sum, :func:`kpflows.counting._root_sum`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     InvalidFlow,
     NegativeExtension,
 )
-from .counting import FlowVector, _check_netflow, _frontier, _root_sum, _walk, check_flow
+from .counting import FlowVector, _check_netflow, _fiber_states, _root_sum, _walk, check_flow
 from .graphs import (
     GraphKind,
     SignedMultigraph,
@@ -103,24 +103,19 @@ def _fibration(graph: SignedMultigraph) -> SignedMultigraph:
     """Check the hypothesis and build H; once per graph, since every fiber
     and every member of a request shares them.
 
-    Every H-edge must touch a vertex in [n-2]: the partial-flow constraints
-    live there, and neither the walk nor H's DP handles a later edge.  The
-    same guard fixes G's slot layout.  G's slots are sorted by
-    ``(i, j, sign)`` and every H-edge leaves a vertex below n-1, so G's slots
-    are H's followed by (n-1, n), (n-1, n+1), (n, n+1), and G - (n-1, n)
-    ends in the last two: a flow on G is its partial flow followed by
+    The hypothesis puts every H-edge out of a vertex in [n-2], where the
+    partial-flow constraints live: an edge out of n-1 or later lies among
+    the last three vertices, where every variant admits only the three unit
+    negative edges, which H drops (a positive edge or loop there fails the
+    A and c32 checks).  So G's slots, sorted by ``(i, j, sign)``, are H's
+    followed by (n-1, n), (n-1, n+1), (n, n+1), G - (n-1, n) ends in the
+    last two, and a flow on G is its partial flow followed by
     ``(k, L-k, R+k)``.
     """
     cond = bv_hypothesis(graph, applicable_theorem(graph))
     if not cond.satisfied:
         raise HypothesisUnmet("; ".join(cond.failures))
-    h = strip_distinguished(graph)
-    for i, j, sign, _ in h.edges:
-        if i > graph.n - 2:
-            raise HypothesisUnmet(
-                f"edge ({i},{j},{sign}) does not touch vertices 1..{graph.n - 2}"
-            )
-    return h
+    return strip_distinguished(graph)
 
 
 def _partial_flow(
@@ -265,8 +260,8 @@ def count_via_partial(
     the literal values are still returned so that the discrepancy is
     visible; they can even be negative.
 
-    Both are read off the counting DP on H stopped after vertex n-2: its
-    frontier maps each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of
+    Both are read off the counting DP on H stopped after vertex n-2, the
+    frontier that ``count`` shares (``counting._fiber_states``); it maps each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of
     partial flows with those inflows, so ``total = sum w*(L+1)`` and
     ``num_partial = sum w``.  On type C the positive total needs no state of
     its own: every H-edge leaves [n-2], so the last positive source is at
@@ -285,7 +280,7 @@ def count_via_partial(
     n = graph.n
     a_right = a[n - 1]
     total = num_partial = 0
-    for (left, y_n, y_last), ways in _frontier(h, a, n - 2).items():
+    for (left, y_n, y_last), ways in _fiber_states(h, tuple(a)).items():
         if require_full and (left < 0 or y_n + a_right < 0):
             raise NegativeExtension(
                 f"{ways} partial flow(s) with Y = ({left - a[n - 2]}, {y_n}, "

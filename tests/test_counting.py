@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from kpflows import (
     catalan_netflow,
     catalan_product,
     check_flow,
+    complete_type_a,
     count,
     count_via_partial,
     delete_edges,
@@ -84,6 +86,22 @@ class TestBruteForce:
         assert brute_force_count(g, (2, 1)) == 0
 
 
+def _assert_positive_budget(g, a, last_positive, flows):
+    """Phi = sum(a) - 2 * (positive flow so far) is a returned state's
+    coordinate sum plus a_{v+2} + ... + a_{n+1}; it never rises, every flow
+    ends at Phi = 0, and from the last positive source v_p on it is 0."""
+    for v in range(g.n_plus_1 + 1):
+        frontier = _frontier(g, a, v)
+        assert frontier
+        for state in frontier:
+            phi = sum(state) + sum(a[v + 1:])
+            if v >= last_positive:
+                assert phi == 0, (v, state)
+            else:
+                assert phi >= 0, (v, state)
+    assert _frontier(g, a, g.n_plus_1) == {(): flows}
+
+
 class TestCount:
     def test_k4(self, k4):
         assert count(k4, (3, 1, 0, -4)) == 30
@@ -128,21 +146,14 @@ class TestCount:
             brute_force_count(g3, (1, False, -1))
 
     def test_frontier_keeps_only_the_positive_budget(self, mixed_no_loop):
-        # Phi = sum(a) - 2 * (positive flow so far) is the returned state's
-        # coordinate sum plus a_{v+2} + ... + a_{n+1}; it never rises and
-        # every flow ends at Phi = 0
-        a = (2, 0, 0, 0)
-        last_positive = 1  # the last vertex with a positive out-edge
-        for v in range(mixed_no_loop.n_plus_1 + 1):
-            frontier = _frontier(mixed_no_loop, a, v)
-            assert frontier
-            for state in frontier:
-                phi = sum(state) + sum(a[v + 1:])
-                if v >= last_positive:
-                    assert phi == 0, (v, state)
-                else:
-                    assert phi >= 0, (v, state)
-        assert _frontier(mixed_no_loop, a, mixed_no_loop.n_plus_1) == {(): 7}
+        _assert_positive_budget(mixed_no_loop, (2, 0, 0, 0), last_positive=1, flows=7)
+
+    def test_frontier_sweeps_a_positive_fan_out_under_the_budget(self):
+        # the last positive source is 2, so vertex 1 sweeps (1,2,+) under
+        # the budget rather than closing on it
+        g = build_graph(4, "C", [(1, 2, "+", 1), (1, 3, "-", 1), (1, 4, "-", 1),
+                                 (2, 3, "+", 1), (2, 4, "-", 1), (3, 4, "-", 1)])
+        _assert_positive_budget(g, (3, 2, 0, -3), last_positive=2, flows=6)
 
     def test_single_vertex_loop(self):
         g = build_graph(1, "C", [(1, 1, "+", 1)])
@@ -150,26 +161,45 @@ class TestCount:
         assert count(g, (3,)) == 0
         assert count(build_graph(1, "A", []), (0,)) == 1
 
+    def test_huge_supply_on_the_unit_triangle(self, monkeypatch):
+        # the finish off the frontier after n-2 never ranges over a supply;
+        # the DP through vertex n+1 would, so it must not run
+        frontier = counting._frontier
+
+        def only_to_n_minus_2(graph, a, last):
+            assert last <= graph.n_plus_1 - 3, "the DP ran past vertex n-2"
+            return frontier(graph, a, last)
+
+        monkeypatch.setattr(counting, "_frontier", only_to_n_minus_2)
+        counting._fiber_states.cache_clear()
+        assert count(complete_type_a(3), (10**20, 0, -10**20)) == 10**20 + 1
+
 
 def _cold_count(graph, a):
-    """``count`` on an empty prefix memo; the memo is put back afterwards,
-    so the sequence of counts around this one is not disturbed."""
-    saved = counting._prefix_memo
-    counting._prefix_memo = (None, {})
-    try:
-        return count(graph, a)
-    finally:
-        counting._prefix_memo = saved
+    """The general DP through vertex n+1, which shares nothing with the
+    finish off the frontier after n-2 or its cache."""
+    return _frontier(graph, a, graph.n_plus_1).get((), 0)
+
+
+def _takes_fiber_states(graph):
+    """Whether ``count`` finishes off the frontier after n-2: the edges out
+    of n-1, n and n+1 are the unit triangle or the unit pair into n+1."""
+    n = graph.n
+    triangle = ((n - 1, n, "-", 1), (n - 1, n + 1, "-", 1), (n, n + 1, "-", 1))
+    return tuple(e for e in graph.edges if e[0] >= n - 1) in (triangle, triangle[1:])
 
 
 def _prefix_family(rng, kind, n_plus_1):
     """Graphs that share their edges out of 1..n-2 and differ after n-2.
 
     Each tail after n-2 comes with (n-1, n, -) of multiplicity 1, 0 and 2,
-    so G and G - (n-1, n) are both members.  A type C prefix holds a
-    positive edge or loop, and of its two tails one has none and one has a
-    positive edge or loop, so the last positive source v_p lies in the
-    prefix for some members and after n-2 for the others.
+    so G and G - (n-1, n) are both members.  Beside the random tails, the
+    unit pair into n+1 gives the unit triangle, the unit pair and a doubled
+    (n-1, n), so two members finish off the frontier after n-2 and share
+    it.  A type C prefix holds a positive edge or loop, and of its two
+    random tails one has none and one has a positive edge or loop, so the
+    last positive source v_p lies in the prefix for some members and after
+    n-2 for the others.
     """
     split = n_plus_1 - 3
     signs = "-+" if kind == "C" else "-"
@@ -187,7 +217,8 @@ def _prefix_family(rng, kind, n_plus_1):
     if kind == "C":
         i = rng.randint(1, split)
         prefix[(i, rng.randint(i, n_plus_1), "+")] = 1
-    tails = [draw(split + 1, n_plus_1, "-")]
+    tails = [draw(split + 1, n_plus_1, "-"), {
+        (split + 1, n_plus_1, "-"): 1, (split + 2, n_plus_1, "-"): 1}]
     if kind == "C":
         positive = draw(split + 1, n_plus_1, "+")
         i = rng.randint(split + 1, n_plus_1)
@@ -228,31 +259,13 @@ def _interleaved(rng, families, netflows_per_family):
     return order
 
 
-@pytest.fixture
-def memo_misses(monkeypatch):
-    """Start on an empty prefix memo and record, per ``_frontier`` call,
-    whether it stored a new memo entry, i.e. ran the layers of 1..n-2."""
-    monkeypatch.setattr(counting, "_prefix_memo", (None, {}))
-    frontier = counting._frontier
-    misses = []
-
-    def spy(graph, a, last):
-        before = counting._prefix_memo
-        out = frontier(graph, a, last)
-        misses.append(counting._prefix_memo is not before)
-        return out
-
-    monkeypatch.setattr(counting, "_frontier", spy)
-    return misses
-
-
 class TestPrefixMemo:
-    """``_frontier`` resumes a count at vertex n-1 from the frontier of the
-    previous count whose netflow, edges out of 1..n-2 and last positive
-    source (up to n-2) are the same; every count must equal a cold one."""
+    """``count`` finishes a graph with the unit triangle or the unit pair
+    after n-2 off the frontier after n-2, which ``_fiber_states`` keeps for
+    the last head and netflow; every count must equal the general DP's."""
 
-    def test_interleaved_families_match_cold_counts(self, monkeypatch):
-        monkeypatch.setattr(counting, "_prefix_memo", (None, {}))
+    def test_interleaved_families_match_cold_counts(self):
+        counting._fiber_states.cache_clear()
         rng = random.Random(20261018)
         families = [
             (kind, _prefix_family(rng, kind, n_plus_1))
@@ -261,16 +274,17 @@ class TestPrefixMemo:
             for _ in range(12)
         ]
         order = _interleaved(rng, families, 4)
-        hits = 0
         for g, a in order:
-            before = counting._prefix_memo
             hot = count(g, a)
-            # every count here runs its layers, so a memo left as it was is a hit
-            hits += counting._prefix_memo is before
             assert hot == _cold_count(g, a), (g, a)
             if g.n_plus_1 <= 5 and sum(abs(x) for x in a) <= 8:
                 assert hot == brute_force_count(g, a), (g, a)
-        assert hits >= len(order) // 5
+        # each finish off the frontier reads the cache once, and the two
+        # such members of a run share an entry unless another run's cut in
+        finishing = sum(_takes_fiber_states(g) for g, _ in order)
+        info = counting._fiber_states.cache_info()
+        assert info.hits + info.misses == finishing
+        assert info.hits >= finishing // 3
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -280,43 +294,90 @@ class TestPrefixMemo:
             (kind, _prefix_family(rng, kind, rng.randint(4, 6)))
             for kind in (rng.choice("AC"), rng.choice("AC"))
         ]
-        saved = counting._prefix_memo
-        try:
-            for g, a in _interleaved(rng, families, 2):
-                assert count(g, a) == _cold_count(g, a), (g, a)
-        finally:
-            counting._prefix_memo = saved
+        counting._fiber_states.cache_clear()
+        order = _interleaved(rng, families, 2)
+        for g, a in order:
+            assert count(g, a) == _cold_count(g, a), (g, a)
+        info = counting._fiber_states.cache_info()
+        assert info.hits + info.misses == sum(_takes_fiber_states(g) for g, _ in order)
 
-    def test_partial_backend_ignores_the_memo(self, memo_misses, mixed_no_loop):
-        # the partial backend stops after n-2 and keeps negative arrivals at
-        # n-1, which the counts' frontier drops; mixed_no_loop has some
+    def test_partial_backend_shares_the_frontier(self, mixed_no_loop):
+        # the partial backend reads negative arrivals at n-1, which a count
+        # skips, off the same frontier; mixed_no_loop has some
         h = strip_distinguished(mixed_no_loop)
         assert any(state[0] < 0 for state in _frontier(h, (2, 0, 0, 0), 1))
         cases = [(mixed_no_loop, (2, 0, 0, 0))] + identity_corpus(
             Theorem.TYPE_C_MIXED, 24, seed0=500
         ) + identity_corpus(Theorem.TYPE_A, 12, seed0=500)
         for g, a in cases:
-            counting._prefix_memo = (None, {})
+            counting._fiber_states.cache_clear()
             cold = count_via_partial(g, a)
-            count(g, a)
+            counting._fiber_states.cache_clear()
+            assert count(g, a) == _cold_count(g, a), (g, a)
             assert count_via_partial(g, a) == cold, (g, a)
+            info = counting._fiber_states.cache_info()
+            assert (info.misses, info.hits) == (1, 1), (g, a)
 
-    def test_identity_check_runs_the_shared_layers_once(self, memo_misses):
+    def test_identity_check_runs_the_shared_layers_once(self):
         g = catalan_graph(8)  # K_9
+        h = strip_distinguished(g)
         for a in (catalan_netflow(8), (1,) * 8 + (-8,)):
-            del memo_misses[:]
+            counting._fiber_states.cache_clear()
             report = verify_identity_a(g, a)
-            assert memo_misses == [True, False]
+            info = counting._fiber_states.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
             assert report.verdict is True
-            # the memo holds the frontier on entry to vertex n-1: the states
-            # of the partial backend's frontier after n-2, none of them a
-            # negative arrival here
-            states = _frontier(g, a, g.n_plus_1 - 3)
-            assert all(state[0] >= 0 for state in states)
-            stored = counting._prefix_memo[1]
-            assert len(stored) == len(states)
-            assert sum(stored.values()) == sum(states.values())
-        assert report.lhs_count == _cold_count(g, a)
+            # the cached states are G's frontier after n-2: the layers of
+            # 1..n-2 see only H's edges
+            assert counting._fiber_states(h, tuple(a)) == _frontier(g, a, g.n_plus_1 - 3)
+            assert report.lhs_count == _cold_count(g, a)
+            assert report.rhs_count == _cold_count(delete_edges(g, [(7, 8, "-")]), a)
+
+
+def _pitman_stanley_graph(n, last_mult):
+    """Edges (i, i+1) and (i, n+1); (n, n+1) is both, at ``last_mult``."""
+    edges = [(i, j, "-", 1) for i in range(1, n) for j in (i + 1, n + 1)]
+    return build_graph(n + 1, "A", edges + [(n, n + 1, "-", last_mult)])
+
+
+def _pitman_stanley(x):
+    """Lattice points of {y >= 0 : y_1+..+y_i <= x_1+..+x_i}, by prefix
+    sums: ``ways[s]`` counts the y_1..y_i with y_1+..+y_i = s."""
+    ways, cap = [1], 0
+    for xi in x:
+        cap += xi
+        acc, nxt = 0, []
+        for s in range(cap + 1):
+            acc += ways[s] if s < len(ways) else 0
+            nxt.append(acc)
+        ways = nxt
+    return sum(ways)
+
+
+class TestPitmanStanley:
+    """A flow on the Pitman-Stanley graph at netflow (x, -sum x) is the exit
+    flows y_i on (i, n+1), one copy of a doubled (n, n+1) taking y_n, with
+    y_1+..+y_i <= x_1+..+x_i (Pitman-Stanley, DCG 2002).  With (n, n+1)
+    single, y_n is forced and the polytope is that of x_1..x_{n-1}.  The
+    doubled graph takes the general DP, the single one the finish off the
+    frontier after n-2; the prefix-sum count shares no code with either."""
+
+    @pytest.mark.parametrize("n", [12, 20, 30])
+    def test_catalan_at_ones(self, n):
+        x = (1,) * n
+        doubled, single = _pitman_stanley_graph(n, 2), _pitman_stanley_graph(n, 1)
+        assert not _takes_fiber_states(doubled) and _takes_fiber_states(single)
+        assert count(doubled, x + (-n,)) == _pitman_stanley(x) == math.comb(2 * n + 2, n + 1) // (n + 2)
+        assert count(single, x + (-n,)) == _pitman_stanley(x[:-1]) == math.comb(2 * n, n) // (n + 1)
+
+    def test_random_x(self):
+        rng = random.Random(1101)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            x = tuple(rng.randint(0, 3) for _ in range(n))
+            a = x + (-sum(x),)
+            assert count(_pitman_stanley_graph(n, 2), a) == _pitman_stanley(x), x
+            assert count(_pitman_stanley_graph(n, 1), a) == _pitman_stanley(x[:-1]), x
 
 
 class TestEnumerate:
@@ -403,6 +464,64 @@ class TestOracleGate:
         assert brute_force_count(g, a) == 0
         assert enumerate_flows(g, a) == []
         assert enumerate_flows(g, a, limit=1, require_complete=True) == []
+
+
+def _walk_lines(graph, a):
+    """The flows of ``_walk`` and the lines it runs to list them, counted by
+    a trace function: a measure of pruning that no clock disturbs."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is counting._walk.__code__:
+            lines += event == "line"
+            return tracer
+
+    saved = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        flows = list(counting._walk(graph, a, graph.n_plus_1))
+    finally:
+        sys.settrace(saved)
+    return flows, lines
+
+
+class TestSettleRule:
+    """Once no later slot lowers a coordinate, its residual must be <= 0,
+    and once none raises it, >= 0; the walk prunes there, not at the end."""
+
+    def test_five_vertex_graph_without_flows(self):
+        # vertex 4 holds a_4 = 4 and no slot can lower it; before the rule
+        # the walk searched this for about 20 s
+        g = build_graph(5, "A", [
+            (1, 2, "-", 3), (1, 3, "-", 2), (1, 4, "-", 4), (1, 5, "-", 2), (2, 3, "-", 1),
+            (2, 4, "-", 2), (2, 5, "-", 3), (3, 4, "-", 4), (3, 5, "-", 4),
+        ])
+        a = (4, 4, -1, 4, -11)
+        assert brute_force_count(g, a) == 0
+        assert enumerate_flows(g, a) == []
+
+    @pytest.mark.parametrize("a", [(1, 1, -1), (1, -1, -1)])
+    def test_untouched_coordinate_ends_the_walk(self, a):
+        # no slot touches vertex 2, so its supply can never reach 0; the
+        # walk must return before it yields the flow (1,) of the rest
+        g = build_graph(3, "C", [(1, 3, "-", 1)])
+        assert list(counting._walk(g, a, 3)) == []
+
+    @pytest.mark.parametrize("first,a", [("+", (9, 9, 9, 0, -9)), ("-", (9, 9, -9, 0, -9))])
+    def test_sink_settles_in_both_directions(self, first, a):
+        # the slot from 1 lowers (+) or raises (-) sink 3 and the slot from 2
+        # moves it back; once the first is set, residual_3 <= 0 (>= 0) must
+        # hold, so every branch with b(1,3) < 9 dies there
+        then = "-" if first == "+" else "+"
+        g = build_graph(5, "C", [(1, 3, first, 1), (1, 5, "-", 5), (2, 3, then, 1),
+                                 (2, 5, "-", 5)])
+        flows, lines = _walk_lines(g, a)
+        assert len(flows) == count(g, a) == math.comb(13, 4)
+        assert all(check_flow(g, f, a) for f in flows)
+        # about 64 lines a flow; settling sink 3 only at its last slot takes
+        # over 370 in either direction
+        assert lines < 100 * len(flows)
 
 
 class TestOracleAgreement:
