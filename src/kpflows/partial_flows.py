@@ -261,8 +261,9 @@ def count_via_partial(
     visible; they can even be negative.
 
     Both are read off the counting DP on H stopped after vertex n-2, the
-    frontier that ``count`` shares (``counting._fiber_states``); it maps each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of
-    partial flows with those inflows, so ``total = sum w*(L+1)`` and
+    frontier that ``count`` shares (``counting._fiber_states``); it maps
+    each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of partial
+    flows with those inflows, so ``total = sum w*(L+1)`` and
     ``num_partial = sum w``.  On type C the positive total needs no state of
     its own: every H-edge leaves [n-2], so the last positive source is at
     most n-2, and from its close on the DP keeps only the states whose

@@ -161,6 +161,14 @@ class TestCount:
         assert count(g, (3,)) == 0
         assert count(build_graph(1, "A", []), (0,)) == 1
 
+    def test_thick_exact_group(self):
+        # v_p = 2 sends exactly Phi/2 units along its two copies of (2,3,+),
+        # in comb(t+1, 1) ways
+        g = build_graph(4, "C", [(1, 2, "-", 1), (1, 3, "-", 1), (2, 3, "+", 2),
+                                 (2, 4, "-", 1), (3, 4, "-", 1)])
+        for a, flows in (((2, 2, 0, -2), 4), ((1, 3, 1, -1), 3), ((2, 2, 2, -2), 9)):
+            assert count(g, a) == brute_force_count(g, a) == flows
+
     def test_huge_supply_on_the_unit_triangle(self, monkeypatch):
         # the finish off the frontier after n-2 never ranges over a supply;
         # the DP through vertex n+1 would, so it must not run

@@ -1,31 +1,29 @@
 """Mutation gate for the exact counting core.
 
-    python3 tools/mutants.py [--functions count _frontier _walk] [--timeout S]
-                             [--out mutants.jsonl]
+    python3 tools/mutants.py
 
 Makes one mutant at a time in ``kpflows.counting``'s ``count``, ``_frontier``
-and ``_walk`` (or the functions named): a comparison flipped or made strict,
-an integer constant moved by +1 or -1, a ``continue`` guard deleted, ``min``
-and ``max`` swapped, or one statement replaced by ``pass``.  Mutants whose
-code equals the original's or an earlier mutant's are skipped.  Each one is
-written into a temporary copy of ``src/`` and ``tests/`` and checked with
+and ``_walk``: a comparison flipped or made strict, an integer constant
+moved by +1 or -1, a ``continue`` guard deleted, ``min`` and ``max``
+swapped, or one statement replaced by ``pass``.  Mutants whose code equals
+the original's or an earlier mutant's are skipped.  Each one is written
+into a temporary copy of ``src/`` and ``tests/`` and checked with
 
     pytest -x -q tests/test_counting.py tests/test_partial_flows.py
                  tests/test_identities.py
 
 there, one process at a time, with a fixed Hypothesis seed, a timeout per
-mutant (default: three times the unmutated run, plus 10 s) and a 1 GiB
-address-space limit, since a mutant can make the DP range over a huge
-supply.  A mutant is killed when pytest fails, survives when it passes,
-and times out otherwise.  The checkout is only read.  Standard library
-only; not collected by pytest.
+mutant (three times the unmutated run, plus 10 s) and a 1 GiB address-space
+limit, since a mutant can make the DP range over a huge supply.  A mutant
+is killed when pytest fails, survives when it passes, and times out
+otherwise; each one is printed with its verdict and code, then a table per
+function.  The checkout is only read.  Standard library only; not
+collected by pytest.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import os
 import resource
 import shutil
@@ -39,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULE = Path("src/kpflows/counting.py")
 TESTS = ["tests/test_counting.py", "tests/test_partial_flows.py", "tests/test_identities.py"]
+FUNCTIONS = ("count", "_frontier", "_walk")
 FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
@@ -125,11 +124,6 @@ def _run(work: Path, timeout: float) -> tuple[str, float]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--functions", nargs="+", default=["count", "_frontier", "_walk"])
-    parser.add_argument("--timeout", type=float, help="seconds per mutant")
-    parser.add_argument("--out", help="JSON-lines file to append one result per mutant to")
-    args = parser.parse_args()
     original = (ROOT / MODULE).read_text()
     baseline = ast.unparse(ast.parse(original))
     with tempfile.TemporaryDirectory(prefix="kpflows-mutants-") as tmp:
@@ -143,13 +137,13 @@ def main() -> int:
         if verdict != "survived":
             print(f"the unmutated tests do not pass ({verdict}); nothing to measure")
             return 2
-        timeout = args.timeout or 3 * seconds + 10
+        timeout = 3 * seconds + 10
         print(f"unmutated run {seconds:.1f} s; timeout {timeout:.0f} s per mutant", flush=True)
         seen = {baseline}
         base_lines = baseline.splitlines()
         tally: dict[str, dict[str, int]] = {}
         survivors = []
-        for name in args.functions:
+        for name in FUNCTIONS:
             tally[name] = {"killed": 0, "survived": 0, "timeout": 0}
             for site in _sites(_function(ast.parse(original), name)):
                 code = _mutate(original, name, site)
@@ -166,11 +160,6 @@ def main() -> int:
                 print(f"{verdict:8} {where} ({seconds:.1f} s)", flush=True)
                 if verdict == "survived":
                     survivors.append(where)
-                if args.out:
-                    with open(args.out, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps({"function": name, "line": site[3], "mutation": site[4],
-                                             "code": shown, "verdict": verdict,
-                                             "seconds": seconds}) + "\n")
     print()
     print(f"{'function':12} {'mutants':>7} {'killed':>7} {'survived':>8} {'timeout':>7}")
     for name, t in tally.items():
