@@ -55,7 +55,9 @@ from math import comb, inf
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, LimitExceeded
-from .graphs import NEG, POS, Edge, SignedMultigraph, _is_int, _positive_target, root_of_edge
+from .graphs import (
+    NEG, POS, Edge, SignedMultigraph, _edge_sort_key, _is_int, _positive_target, root_of_edge,
+)
 
 FlowVector = tuple[int, ...]
 
@@ -507,9 +509,43 @@ def _fiber_states(
     head: SignedMultigraph, a: tuple[int, ...]
 ) -> Mapping[tuple[int, ...], int]:
     """``_frontier(head, a, n-2)`` for the last head and netflow asked: the
-    inflow states ``(L, Y_n, Y_{n+1})`` of the flows on ``head``.  One entry,
-    shared by :func:`count` and ``partial_flows.count_via_partial``, so it
-    is handed out read-only."""
+    inflow states ``(L, Y_n, Y_{n+1})`` of the flows on ``head``, with
+    ``L = Y_{n-1} + a_{n-1}``.  One entry, shared by :func:`count` and
+    ``partial_flows.count_via_partial``, so it is handed out read-only.
+
+    Where no state can have ``R = Y_n + a_n < 0``, vertex n is folded into
+    n+1 first: each head edge ``(i, n, s)`` becomes ``(i, n+1, s)``,
+    merging multiplicities, and ``a_n`` moves into ``a_{n+1}``.  The states
+    are then ``(L, 0, Y_n + Y_{n+1})``, with the ways of the states that
+    merge summed: one state per L, since ``Phi = 0`` below fixes ``Y_n +
+    Y_{n+1} = -(L + a_n + a_{n+1})``.  Both readers read ``Y_n`` only
+    through the sign of R, so they see the same answer from fewer states
+    (22 against 253 on the K_9 staircase).  This is exact:
+
+    - the pass runs only vertices 1..n-2, so no coordinate from n-1 on is
+      checked on arrival, and the fold keeps the supplies at 1..n-2, the
+      tail sums behind Phi, each edge's sign and L;
+    - so the folded DP's states are the images of the unfolded ones under
+      ``(L, Y_n, Y_{n+1}) -> (L, 0, Y_n + Y_{n+1})``; where two copies of
+      an edge group merge, Vandermonde's identity gives the same ways;
+    - every returned state has ``Phi = 0``, since ``v_p <= n-2``, so its
+      positive total is y and its positive inflow into n is at most y;
+      ``Y_n >= -y`` if some head edge into n is positive, else ``Y_n >= 0``;
+    - hence the fold condition ``a_n >= y`` (positive edge into n) or
+      ``a_n >= 0`` (none) gives ``R >= 0`` for every state.
+
+    Elsewhere, as on the mixed-sign band ``y = a_n + 1``, where the states
+    with ``R < 0`` decide the violations, the pass runs unfolded.
+    """
+    n = head.n
+    positive_into_n = any(j == n and sign == POS for _, j, sign, _ in head.edges)
+    if a[n - 1] >= ((_positive_target(head, a)[1] or 0) if positive_into_n else 0):
+        merged: dict[Edge, int] = {}
+        for i, j, sign, m in head.edges:
+            key = (i, n + 1 if j == n else j, sign)
+            merged[key] = merged.get(key, 0) + m
+        edges = tuple((*e, merged[e]) for e in sorted(merged, key=_edge_sort_key))
+        head, a = head._replace(edges=edges), a[: n - 1] + (0, a[n - 1] + a[n])
     return MappingProxyType(_frontier(head, a, head.n_plus_1 - 3))
 
 
@@ -533,7 +569,10 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     n-2`` and every state has ``Phi = 0``, which balances vertex n+1; the
     states with ``L < 0`` are the ones the full DP drops on arrival at n-1.
     Through :func:`_fiber_states`, the counts of G and G - (n-1, n) of an
-    identity check and the partial backend share one pass.
+    identity check and the partial backend share one pass.  Where no state
+    can have ``R < 0``, that pass folds vertex n into n+1, and its states
+    read ``Y_n = 0``; R then reads ``a_n >= 0`` here, the true R is ``>= 0``
+    too, and both sums are unchanged.
     """
     _check_netflow(graph, a)
     if not _positive_target(graph, a)[0]:

@@ -189,6 +189,14 @@ def _cold_count(graph, a):
     return _frontier(graph, a, graph.n_plus_1).get((), 0)
 
 
+def _l_marginal(states):
+    """The ways of a frontier after n-2, summed per ``L``."""
+    out = {}
+    for (left, _, _), ways in states.items():
+        out[left] = out.get(left, 0) + ways
+    return out
+
+
 def _takes_fiber_states(graph):
     """Whether ``count`` finishes off the frontier after n-2: the edges out
     of n-1, n and n+1 are the unit triangle or the unit pair into n+1."""
@@ -326,20 +334,86 @@ class TestPrefixMemo:
             info = counting._fiber_states.cache_info()
             assert (info.misses, info.hits) == (1, 1), (g, a)
 
+    def test_the_cache_holds_one_entry(self, k4):
+        counting._fiber_states.cache_clear()
+        for a in ((3, 1, 0, -4), (1, 2, 3, -6), (3, 1, 0, -4)):
+            count(k4, a)
+        info = counting._fiber_states.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
+
     def test_identity_check_runs_the_shared_layers_once(self):
         g = catalan_graph(8)  # K_9
         h = strip_distinguished(g)
-        for a in (catalan_netflow(8), (1,) * 8 + (-8,)):
+        for a, folded, unfolded in ((catalan_netflow(8), 22, 253), ((1,) * 8 + (-8,), 7, 28)):
             counting._fiber_states.cache_clear()
             report = verify_identity_a(g, a)
             info = counting._fiber_states.cache_info()
             assert (info.misses, info.hits) == (1, 1)
             assert report.verdict is True
-            # the cached states are G's frontier after n-2: the layers of
-            # 1..n-2 see only H's edges
-            assert counting._fiber_states(h, tuple(a)) == _frontier(g, a, g.n_plus_1 - 3)
+            # the cached states are G's frontier after n-2 (the layers of
+            # 1..n-2 see only H's edges) with vertex n folded into n+1: the
+            # same ways per L, one state per L
+            states = counting._fiber_states(h, tuple(a))
+            unfolded_states = _frontier(g, a, g.n_plus_1 - 3)
+            assert _l_marginal(states) == _l_marginal(unfolded_states)
+            assert (len(states), len(unfolded_states)) == (folded, unfolded)
             assert report.lhs_count == _cold_count(g, a)
             assert report.rhs_count == _cold_count(delete_edges(g, [(7, 8, "-")]), a)
+
+
+class TestFold:
+    """``_fiber_states`` folds vertex n into n+1 exactly when no state can
+    have ``R = Y_n + a_n < 0``: ``a_n >= y`` with a positive head edge into
+    n, else ``a_n >= 0``.  On both sides of that line the counts and the
+    partial backend's literal aggregates must equal the unfolded pass's;
+    the cache size tells a fold (one state per L) from none."""
+
+    @staticmethod
+    def _check(g, a, cached, unfolded):
+        h = strip_distinguished(g)
+        n = g.n
+        g_minus = delete_edges(g, [(n - 1, n, "-")])
+        states = _frontier(h, a, n - 2)
+        literal = (sum(w * (left + 1) for (left, _, _), w in states.items()),
+                   sum(states.values()))
+        counting._fiber_states.cache_clear()
+        assert count_via_partial(g, a) == literal
+        assert len(counting._fiber_states(h, a)) == cached
+        assert len(states) == unfolded
+        for graph in (g, g_minus):
+            assert count(graph, a) == _cold_count(graph, a) == brute_force_count(graph, a)
+        return states
+
+    @pytest.mark.parametrize("a,cached,unfolded", [
+        ((2, 0, 1, -1), 3, 7),  # a_n = y = 1: folds
+        ((2, 0, 0, 0), 7, 7),  # a_n = y - 1, the band: does not fold
+        ((4, 0, 3, -3), 5, 19),  # a_n > y = 2
+        ((2, 0, 0, -2), 3, 6),  # a_n = y = 0: no positive flow, folds
+    ])
+    def test_positive_edge_into_n(self, mixed_no_loop, a, cached, unfolded):
+        states = self._check(mixed_no_loop, a, cached, unfolded)
+        # without the fold some state has R < 0 exactly on the band
+        assert any(y_n + a[2] < 0 for (_, y_n, _) in states) == (cached == unfolded)
+
+    @pytest.mark.parametrize("a,cached,unfolded", [
+        ((4, 0, 2, -2), 5, 19),  # a_n = y = 2, the loop beside: folds
+        ((4, 0, 1, -1), 19, 19),  # a_n = y - 1: does not fold
+    ])
+    def test_positive_edge_into_n_with_a_loop(self, gc_mixed, a, cached, unfolded):
+        self._check(gc_mixed, a, cached, unfolded)
+
+    @pytest.mark.parametrize("a,cached,unfolded", [
+        ((3, 1, 0, -4), 4, 10),  # a_n = 0: folds
+        ((3, 1, -1, -3), 10, 10),  # a_n = -1: does not fold
+        ((1, -2, 2, -1), 2, 3),  # a negative L folds all the same
+    ])
+    def test_type_a(self, k4, a, cached, unfolded):
+        self._check(k4, a, cached, unfolded)
+
+    def test_no_positive_edge_into_n(self, gc):
+        # the loop at 1 is the only positive edge, so Y_n >= 0 and
+        # a_n = 0 < y = 1 still folds
+        self._check(gc, (4, 0, 0, -2), 3, 6)
 
 
 def _pitman_stanley_graph(n, last_mult):
@@ -530,6 +604,33 @@ class TestSettleRule:
         # about 64 lines a flow; settling sink 3 only at its last slot takes
         # over 370 in either direction
         assert lines < 100 * len(flows)
+
+
+class TestWeightedBudget:
+    """Under ``w_i = n+2-i`` every root weighs at least 1, so the walk keeps
+    ``left = w . residual >= 0``; this cuts branches that the supply bound
+    and the settle rule keep."""
+
+    G = build_graph(5, "C", [(1, 3, "+", 1), (2, 5, "+", 2), (3, 5, "+", 3),
+                             (4, 5, "-", 2), (4, 5, "+", 1)])
+
+    def test_budget_cuts_inside_the_walk(self):
+        # w . a = 39; vertex 1 must send its 3 units along (1,3,+), of
+        # weight 8 each, and vertex 2's 5 units along (2,5,+) weigh 25 more,
+        # so every branch dies at vertex 2: about 250 walk lines, where
+        # without the budget's updates the walk drains vertices 2..4 in
+        # every way before the sink dies (over 2,600 lines)
+        a = (3, 5, 4, 2, -12)
+        assert count(self.G, a) == brute_force_count(self.G, a) == 0
+        flows, lines = _walk_lines(self.G, a)
+        assert flows == [] and lines < 500
+
+    @pytest.mark.parametrize("a", [(0, 0, 0, 0, -1), (0, 0, 0, 1, -3)])
+    def test_negative_budget_ends_the_walk_before_set_up(self, a):
+        # w . a = -1: the walk returns before its per-slot set-up (7 lines
+        # against over 110)
+        flows, lines = _walk_lines(self.G, a)
+        assert flows == [] and lines < 20
 
 
 class TestOracleAgreement:

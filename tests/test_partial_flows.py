@@ -308,6 +308,22 @@ class TestCountViaPartial:
             count(delete_edges(mixed_no_loop, [(2, 3, "-")]), (1, 1, 1, -1)),
         )
 
+    @pytest.mark.parametrize("fixture,a,why", [
+        # the band y = a_n + 1: both refused partial flows have R = -1
+        ("mixed_no_loop", (2, 1, 0, -1), "Y_n = -1, R = -1"),
+        # type A, negative supplies: one partial flow each, folded or not
+        ("k4", (0, -1, 1, 0), "Y_(n-1) = 0, L = -1"),
+        ("k4", (0, -1, -1, 2), "Y_(n-1) = 0, L = -1 and Y_n = 0, R = -1"),
+    ])
+    def test_require_full_names_what_is_negative(self, request, fixture, a, why):
+        g = request.getfixturevalue(fixture)
+        with pytest.raises(NegativeExtension) as exc:
+            count_via_partial(g, a, require_full=True)
+        assert str(exc.value) == (
+            f"1 partial flow(s) with {why} do not extend to G - (n-1, n); the "
+            "literal aggregate need not be the count"
+        )
+
     def test_require_full_keeps_values_in_domain(self, k4, gc):
         assert count_via_partial(k4, (3, 1, 0, -4), require_full=True) == (30, 10)
         assert count_via_partial(gc, (4, 0, 0, -2), require_full=True) == (10, 6)

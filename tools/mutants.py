@@ -1,9 +1,10 @@
 """Mutation gate for the exact counting core.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [FUNCTION ...]
 
-Makes one mutant at a time in ``kpflows.counting``'s ``count``, ``_frontier``
-and ``_walk``: a comparison flipped or made strict, an integer constant
+Makes one mutant at a time in ``kpflows.counting``'s ``count``,
+``_fiber_states``, ``_frontier`` and ``_walk``, or in the ones named on the
+command line: a comparison flipped or made strict, an integer constant
 moved by +1 or -1, a ``continue`` guard deleted, ``min`` and ``max``
 swapped, or one statement replaced by ``pass``.  Mutants whose code equals
 the original's or an earlier mutant's are skipped.  Each one is written
@@ -37,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULE = Path("src/kpflows/counting.py")
 TESTS = ["tests/test_counting.py", "tests/test_partial_flows.py", "tests/test_identities.py"]
-FUNCTIONS = ("count", "_frontier", "_walk")
+FUNCTIONS = ("count", "_fiber_states", "_frontier", "_walk")
 FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
@@ -123,7 +124,10 @@ def _run(work: Path, timeout: float) -> tuple[str, float]:
     return ("survived" if code == 0 else "killed"), time.perf_counter() - start
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = set(names) - set(FUNCTIONS)
+    if unknown:
+        raise SystemExit(f"not a mutated function: {', '.join(sorted(unknown))}")
     original = (ROOT / MODULE).read_text()
     baseline = ast.unparse(ast.parse(original))
     with tempfile.TemporaryDirectory(prefix="kpflows-mutants-") as tmp:
@@ -143,7 +147,7 @@ def main() -> int:
         base_lines = baseline.splitlines()
         tally: dict[str, dict[str, int]] = {}
         survivors = []
-        for name in FUNCTIONS:
+        for name in names or FUNCTIONS:
             tally[name] = {"killed": 0, "survived": 0, "timeout": 0}
             for site in _sites(_function(ast.parse(original), name)):
                 code = _mutate(original, name, site)
@@ -170,4 +174,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
