@@ -519,8 +519,10 @@ def _fiber_states(
     are then ``(L, 0, Y_n + Y_{n+1})``, with the ways of the states that
     merge summed: one state per L, since ``Phi = 0`` below fixes ``Y_n +
     Y_{n+1} = -(L + a_n + a_{n+1})``.  Both readers read ``Y_n`` only
-    through the sign of R, so they see the same answer from fewer states
-    (22 against 253 on the K_9 staircase).  This is exact:
+    through the sign of R, and rebuild R as ``Y_n + a_n``: from a folded
+    state that is ``a_n``, which the fold condition below makes ``>= 0``,
+    as is the true R.  So they see the same answer from fewer states (22
+    against 253 on the K_9 staircase).  This is exact:
 
     - the pass runs only vertices 1..n-2, so no coordinate from n-1 on is
       checked on arrival, and the fold keeps the supplies at 1..n-2, the
@@ -569,10 +571,8 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     n-2`` and every state has ``Phi = 0``, which balances vertex n+1; the
     states with ``L < 0`` are the ones the full DP drops on arrival at n-1.
     Through :func:`_fiber_states`, the counts of G and G - (n-1, n) of an
-    identity check and the partial backend share one pass.  Where no state
-    can have ``R < 0``, that pass folds vertex n into n+1, and its states
-    read ``Y_n = 0``; R then reads ``a_n >= 0`` here, the true R is ``>= 0``
-    too, and both sums are unchanged.
+    identity check and the partial backend share one pass, whose states
+    may be folded (see there).
     """
     _check_netflow(graph, a)
     if not _positive_target(graph, a)[0]:

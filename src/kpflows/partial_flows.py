@@ -26,10 +26,9 @@ boundaries remain observable.
 The fiber size depends on a partial flow only through its inflows, so
 :func:`count_via_partial` never lists partial flows: it stops the counting
 DP of :mod:`kpflows.counting` on H after vertex n-2 and reads the aggregates
-off its frontier, whose states are the inflow triples.  Wherever every
-extension stays nonnegative at (n, n+1), the fiber size depends on
-``L = Y_{n-1} + a_{n-1}`` alone, and that DP folds vertex n into n+1,
-keeping one state per L instead of one per triple.  Only the witness
+off its frontier, whose states are the inflow triples (folded where no
+extension can go negative at (n, n+1); see
+``kpflows.counting._fiber_states``).  Only the witness
 path (:func:`enumerate_partial_flows`, :func:`materialize_fiber`) visits
 partial flows and their fibers one at a time.  The partial flows come from
 the walk of :mod:`kpflows.counting` on H with coordinates 1..n-2
@@ -271,15 +270,14 @@ def count_via_partial(
     its own: every H-edge leaves [n-2], so the last positive source is at
     most n-2, and from its close on the DP keeps only the states whose
     positive total is exactly y (see :func:`kpflows.counting._frontier`).
-    Where no partial flow can have ``R = Y_n + a_n < 0``, that frontier
-    folds vertex n into n+1 and its states read ``(L, 0, Y_n + Y_{n+1})``;
-    L and w are exact either way, and so are both aggregates.
+    The states may be folded; L, R's sign and w stay exact (see
+    ``kpflows.counting._fiber_states``).
 
-    With ``require_full=True`` a partial flow with ``L < 0`` or ``R < 0``
-    raises :class:`NegativeExtension` instead, so a returned ``total`` is
-    always the flow count on G.  The message names L with ``Y_{n-1}``, R
-    with ``Y_n``, or both: whatever is negative, which the fold never
-    merges away (it applies only where no R is negative).
+    With ``require_full=True`` a partial flow with ``L < 0`` or ``R = Y_n +
+    a_n < 0`` raises :class:`NegativeExtension` instead, so a returned
+    ``total`` is always the flow count on G.  The message names what is
+    negative, L with ``Y_{n-1}``, R with ``Y_n`` or both, and counts every
+    partial flow with those values.
     """
     _check_netflow(graph, a)
     h = _fibration(graph)
@@ -288,17 +286,22 @@ def count_via_partial(
         return PartialCount(total=0, num_partial=0)
     n = graph.n
     a_right = a[n - 1]
+    states = _fiber_states(h, tuple(a))
     total = num_partial = 0
-    for (left, y_n, _), ways in _fiber_states(h, tuple(a)).items():
+    for (left, y_n, _), ways in states.items():
         right = y_n + a_right
         if require_full and (left < 0 or right < 0):
-            negative = []
+            # name what is negative, and count every partial flow so named
+            named, negative = {}, []
             if left < 0:
+                named[0] = left
                 negative.append(f"Y_(n-1) = {left - a[n - 2]}, L = {left}")
             if right < 0:
+                named[1] = y_n
                 negative.append(f"Y_n = {y_n}, R = {right}")
+            refused = sum(w for s, w in states.items() if all(s[k] == v for k, v in named.items()))
             raise NegativeExtension(
-                f"{ways} partial flow(s) with {' and '.join(negative)} do not "
+                f"{refused} partial flow(s) with {' and '.join(negative)} do not "
                 "extend to G - (n-1, n); the literal aggregate need not be "
                 "the count"
             )

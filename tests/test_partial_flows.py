@@ -308,19 +308,22 @@ class TestCountViaPartial:
             count(delete_edges(mixed_no_loop, [(2, 3, "-")]), (1, 1, 1, -1)),
         )
 
-    @pytest.mark.parametrize("fixture,a,why", [
+    @pytest.mark.parametrize("fixture,a,refused,why", [
         # the band y = a_n + 1: both refused partial flows have R = -1
-        ("mixed_no_loop", (2, 1, 0, -1), "Y_n = -1, R = -1"),
+        ("mixed_no_loop", (2, 1, 0, -1), 2, "Y_n = -1, R = -1"),
         # type A, negative supplies: one partial flow each, folded or not
-        ("k4", (0, -1, 1, 0), "Y_(n-1) = 0, L = -1"),
-        ("k4", (0, -1, -1, 2), "Y_(n-1) = 0, L = -1 and Y_n = 0, R = -1"),
+        ("k4", (0, -1, 1, 0), 1, "Y_(n-1) = 0, L = -1"),
+        ("k4", (0, -1, -1, 2), 1, "Y_(n-1) = 0, L = -1 and Y_n = 0, R = -1"),
+        # unfolded (a_n < 0): the states (L, Y_n, Y_{n+1}) = (-1, 1, 0) and
+        # (-1, 0, 1) share L = -1, so the L message counts both
+        ("gc", (1, -1, -1, 1), 2, "Y_(n-1) = 0, L = -1"),
     ])
-    def test_require_full_names_what_is_negative(self, request, fixture, a, why):
+    def test_require_full_names_what_is_negative(self, request, fixture, a, refused, why):
         g = request.getfixturevalue(fixture)
         with pytest.raises(NegativeExtension) as exc:
             count_via_partial(g, a, require_full=True)
         assert str(exc.value) == (
-            f"1 partial flow(s) with {why} do not extend to G - (n-1, n); the "
+            f"{refused} partial flow(s) with {why} do not extend to G - (n-1, n); the "
             "literal aggregate need not be the count"
         )
 
