@@ -48,11 +48,11 @@ and must not be truncated.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import islice
 from math import comb, inf
-from types import MappingProxyType
 
 from .errors import DimensionMismatch, LimitExceeded
 from .graphs import (
@@ -507,22 +507,26 @@ def _frontier(
 @lru_cache(maxsize=1)
 def _fiber_states(
     head: SignedMultigraph, a: tuple[int, ...]
-) -> Mapping[tuple[int, ...], int]:
-    """``_frontier(head, a, n-2)`` for the last head and netflow asked: the
-    inflow states ``(L, Y_n, Y_{n+1})`` of the flows on ``head``, with
-    ``L = Y_{n-1} + a_{n-1}``.  One entry, shared by :func:`count` and
-    ``partial_flows.count_via_partial``, so it is handed out read-only.
+) -> tuple[tuple[int, int, int], ...]:
+    """The fiber table of the partial flows on ``head`` at ``a``: one
+    ``(L, cut, ways)`` per pair ``(L, cut)``, with ``ways`` the number of
+    partial flows that have ``L = Y_{n-1} + a_{n-1}`` and ``cut = max(0,
+    -R)``, ``R = Y_n + a_n``.  The fiber of such a partial flow on G is ``k
+    = 0..L`` with ``R + k`` on (n, n+1), so its members ``k < cut`` drop
+    out.  One entry, for the last head and netflow asked, shared by
+    :func:`count` and ``partial_flows.count_via_partial``.
 
-    Where no state can have ``R = Y_n + a_n < 0``, vertex n is folded into
-    n+1 first: each head edge ``(i, n, s)`` becomes ``(i, n+1, s)``,
+    The table sums the ways of ``_frontier(head, a, n-2)``, whose states
+    are the inflows ``(L, Y_n, Y_{n+1})``, over the states with the same
+    ``(L, cut)``.  Where no state can have ``R < 0``, vertex n is folded
+    into n+1 first: each head edge ``(i, n, s)`` becomes ``(i, n+1, s)``,
     merging multiplicities, and ``a_n`` moves into ``a_{n+1}``.  The states
     are then ``(L, 0, Y_n + Y_{n+1})``, with the ways of the states that
     merge summed: one state per L, since ``Phi = 0`` below fixes ``Y_n +
-    Y_{n+1} = -(L + a_n + a_{n+1})``.  Both readers read ``Y_n`` only
-    through the sign of R, and rebuild R as ``Y_n + a_n``: from a folded
-    state that is ``a_n``, which the fold condition below makes ``>= 0``,
-    as is the true R.  So they see the same answer from fewer states (22
-    against 253 on the K_9 staircase).  This is exact:
+    Y_{n+1} = -(L + a_n + a_{n+1})``.  Each gets ``cut = max(0, -a_n) =
+    0`` from the original ``a_n``, which the fold condition makes ``>=
+    0``, so the table is the same from fewer states (22 against 253 on the
+    K_9 staircase).  This is exact:
 
     - the pass runs only vertices 1..n-2, so no coordinate from n-1 on is
       checked on arrival, and the fold keeps the supplies at 1..n-2, the
@@ -534,21 +538,24 @@ def _fiber_states(
       positive total is y and its positive inflow into n is at most y;
       ``Y_n >= -y`` if some head edge into n is positive, else ``Y_n >= 0``;
     - hence the fold condition ``a_n >= y`` (positive edge into n) or
-      ``a_n >= 0`` (none) gives ``R >= 0`` for every state.
+      ``a_n >= 0`` (none) gives ``R >= 0``, so ``cut = 0``, for every state.
 
     Elsewhere, as on the mixed-sign band ``y = a_n + 1``, where the states
     with ``R < 0`` decide the violations, the pass runs unfolded.
     """
     n = head.n
+    a_n = a[n - 1]
     positive_into_n = any(j == n and sign == POS for _, j, sign, _ in head.edges)
-    if a[n - 1] >= ((_positive_target(head, a)[1] or 0) if positive_into_n else 0):
-        merged: dict[Edge, int] = {}
+    if a_n >= ((_positive_target(head, a)[1] or 0) if positive_into_n else 0):
+        merged: Counter[Edge] = Counter()
         for i, j, sign, m in head.edges:
-            key = (i, n + 1 if j == n else j, sign)
-            merged[key] = merged.get(key, 0) + m
+            merged[i, n + 1 if j == n else j, sign] += m
         edges = tuple((*e, merged[e]) for e in sorted(merged, key=_edge_sort_key))
-        head, a = head._replace(edges=edges), a[: n - 1] + (0, a[n - 1] + a[n])
-    return MappingProxyType(_frontier(head, a, head.n_plus_1 - 3))
+        head, a = head._replace(edges=edges), a[: n - 1] + (0, a_n + a[n])
+    table: Counter[tuple[int, int]] = Counter()
+    for (left, y_n, _), ways in _frontier(head, a, n - 2).items():
+        table[left, max(0, -(y_n + a_n))] += ways
+    return tuple((left, cut, ways) for (left, cut), ways in table.items())
 
 
 def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
@@ -562,17 +569,17 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
 
     When the edges out of n-1, n and n+1 are the unit triangle among them
     (every hypothesis graph G, every complete graph) or the unit pair into
-    n+1 (G - (n-1, n)), the count is read off the frontier after vertex n-2
-    of the head, the edges out of ``1..n-2``.  A state ``(L, Y_n, Y_{n+1})``
-    with w ways and ``R = Y_n + a_n`` sends k units on (n-1, n), ``L - k``
-    on (n-1, n+1) and ``R + k`` on (n, n+1), so it adds ``w * max(0, L + 1
-    - max(0, -R))`` flows on the triangle and ``w * [R >= 0]`` (k = 0) on
-    the pair.  This is exact: no edge after n-2 is positive, so ``v_p <=
-    n-2`` and every state has ``Phi = 0``, which balances vertex n+1; the
-    states with ``L < 0`` are the ones the full DP drops on arrival at n-1.
-    Through :func:`_fiber_states`, the counts of G and G - (n-1, n) of an
-    identity check and the partial backend share one pass, whose states
-    may be folded (see there).
+    n+1 (G - (n-1, n)), the count is read off the fiber table of the head,
+    the edges out of ``1..n-2`` (:func:`_fiber_states`).  An entry ``(L,
+    cut)`` with w ways stands for partial flows that send k units on (n-1,
+    n), ``L - k`` on (n-1, n+1) and ``R + k`` on (n, n+1), where ``cut =
+    max(0, -R)``; so it adds ``w * max(0, L + 1 - cut)`` flows on the
+    triangle (none if ``L < 0``, since ``cut >= 0``) and ``w`` on the pair
+    (k = 0) if ``L >= 0`` and ``cut = 0``.  This is exact: no edge after
+    n-2 is positive, so ``v_p <= n-2`` and every partial flow has ``Phi =
+    0``, which balances vertex n+1; the entries with ``L < 0`` are the
+    states the full DP drops on arrival at n-1.  The counts of G and G -
+    (n-1, n) of an identity check and the partial backend share one table.
     """
     _check_netflow(graph, a)
     if not _positive_target(graph, a)[0]:
@@ -582,9 +589,7 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     tail = tuple(e for e in edges if e[0] >= n - 1)
     if tail not in (triangle, triangle[1:]):
         return _frontier(graph, a, graph.n_plus_1).get((), 0)
-    states = _fiber_states(graph._replace(edges=edges[: -len(tail)]), tuple(a))
-    a_n = a[n - 1]
-    fibers = [(left, y_n + a_n, ways) for (left, y_n, _), ways in states.items() if left >= 0]
+    table = _fiber_states(graph._replace(edges=edges[: -len(tail)]), tuple(a))
     if tail == triangle:
-        return sum(ways * max(0, left + 1 - max(0, -right)) for left, right, ways in fibers)
-    return sum(ways for _, right, ways in fibers if right >= 0)
+        return sum(ways * max(0, left + 1 - cut) for left, cut, ways in table)
+    return sum(ways for left, cut, ways in table if left >= 0 and not cut)

@@ -23,12 +23,12 @@ positive leak total exhausting a supply), the affected partial flows extend
 to nothing; the aggregate sums reported here are the literal ones, so such
 boundaries remain observable.
 
-The fiber size depends on a partial flow only through its inflows, so
-:func:`count_via_partial` never lists partial flows: it stops the counting
-DP of :mod:`kpflows.counting` on H after vertex n-2 and reads the aggregates
-off its frontier, whose states are the inflow triples (folded where no
-extension can go negative at (n, n+1); see
-``kpflows.counting._fiber_states``).  Only the witness
+A fiber depends on a partial flow only through ``L = Y_{n-1} + a_{n-1}``
+and ``cut = max(0, -(Y_n + a_n))``, its members ``k < cut`` being the ones
+that go negative at (n, n+1); so :func:`count_via_partial` never lists
+partial flows: it sums over the fiber table ``(L, cut) -> ways`` that the
+counting DP of :mod:`kpflows.counting` on H, stopped after vertex n-2,
+hands out (``kpflows.counting._fiber_states``).  Only the witness
 path (:func:`enumerate_partial_flows`, :func:`materialize_fiber`) visits
 partial flows and their fibers one at a time.  The partial flows come from
 the walk of :mod:`kpflows.counting` on H with coordinates 1..n-2
@@ -262,19 +262,16 @@ def count_via_partial(
     the literal values are still returned so that the discrepancy is
     visible; they can even be negative.
 
-    Both are read off the counting DP on H stopped after vertex n-2, the
-    frontier that ``count`` shares (``counting._fiber_states``); it maps
-    each inflow state ``(L, Y_n, Y_{n+1})`` to the number w of partial
-    flows with those inflows, so ``total = sum w*(L+1)`` and
-    ``num_partial = sum w``.  On type C the positive total needs no state of
-    its own: every H-edge leaves [n-2], so the last positive source is at
-    most n-2, and from its close on the DP keeps only the states whose
-    positive total is exactly y (see :func:`kpflows.counting._frontier`).
-    The states may be folded; L, R's sign and w stay exact (see
-    ``kpflows.counting._fiber_states``).
+    Both are sums over the fiber table of H (``counting._fiber_states``),
+    which ``count`` shares: w partial flows with ``L`` and ``cut = max(0,
+    -R)``, ``R = Y_n + a_n``, add ``w*(L+1)`` to ``total`` and w to
+    ``num_partial``.  On type C the positive total needs no entry of its
+    own: every H-edge leaves [n-2], so the last positive source is at most
+    n-2, and the table counts only the partial flows whose positive total
+    is exactly y (see :func:`kpflows.counting._frontier`).
 
-    With ``require_full=True`` a partial flow with ``L < 0`` or ``R = Y_n +
-    a_n < 0`` raises :class:`NegativeExtension` instead, so a returned
+    With ``require_full=True`` a partial flow with ``L < 0`` or ``cut > 0``
+    (``R < 0``) raises :class:`NegativeExtension` instead, so a returned
     ``total`` is always the flow count on G.  The message names what is
     negative, L with ``Y_{n-1}``, R with ``Y_n`` or both, and counts every
     partial flow with those values.
@@ -284,27 +281,19 @@ def count_via_partial(
     feasible, _ = _positive_target(graph, a)
     if not feasible:
         return PartialCount(total=0, num_partial=0)
-    n = graph.n
-    a_right = a[n - 1]
-    states = _fiber_states(h, tuple(a))
-    total = num_partial = 0
-    for (left, y_n, _), ways in states.items():
-        right = y_n + a_right
-        if require_full and (left < 0 or right < 0):
+    table = _fiber_states(h, tuple(a))
+    for left, cut, _ in table:
+        if require_full and (left < 0 or cut):
             # name what is negative, and count every partial flow so named
-            named, negative = {}, []
-            if left < 0:
-                named[0] = left
-                negative.append(f"Y_(n-1) = {left - a[n - 2]}, L = {left}")
-            if right < 0:
-                named[1] = y_n
-                negative.append(f"Y_n = {y_n}, R = {right}")
-            refused = sum(w for s, w in states.items() if all(s[k] == v for k, v in named.items()))
+            negative = [f"Y_(n-1) = {left - a[-3]}, L = {left}"] if left < 0 else []
+            if cut:
+                negative.append(f"Y_n = {-cut - a[-2]}, R = {-cut}")
+            refused = sum(w for x, c, w in table
+                          if (left >= 0 or x == left) and (not cut or c == cut))
             raise NegativeExtension(
                 f"{refused} partial flow(s) with {' and '.join(negative)} do not "
                 "extend to G - (n-1, n); the literal aggregate need not be "
                 "the count"
             )
-        total += ways * (left + 1)
-        num_partial += ways
-    return PartialCount(total=total, num_partial=num_partial)
+    return PartialCount(total=sum(w * (left + 1) for left, _, w in table),
+                        num_partial=sum(w for _, _, w in table))

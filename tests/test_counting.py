@@ -189,14 +189,42 @@ def _cold_count(graph, a):
     return _frontier(graph, a, graph.n_plus_1).get((), 0)
 
 
-def _folded(states):
+def _table(states, a_n):
     """An unfolded frontier after n-2 mapped through ``(L, Y_n, Y_{n+1}) ->
-    (L, 0, Y_n + Y_{n+1})``, the ways of the states that merge summed."""
+    (L, max(0, -(Y_n + a_n)))``, the ways of the states that merge summed:
+    the fiber table, computed without the fold."""
     out = {}
-    for (left, y_n, y_last), ways in states.items():
-        key = (left, 0, y_n + y_last)
+    for (left, y_n, _), ways in states.items():
+        key = (left, max(0, -(y_n + a_n)))
         out[key] = out.get(key, 0) + ways
     return out
+
+
+def _as_dict(table):
+    """A fiber table as ``{(L, cut): ways}``, after checking that it is a
+    tuple (so no reader can change the cached entry) with one entry per
+    key."""
+    assert type(table) is tuple
+    out = {(left, cut): ways for left, cut, ways in table}
+    assert len(out) == len(table)
+    return out
+
+
+def _spy_on_passes(monkeypatch):
+    """Wrap ``counting._frontier``; each call appends whether the graph it
+    ran on has an edge into n, and the size of the frontier it returned.
+    The fiber table is the same with and without the fold, so only these
+    show that ``_fiber_states`` folded vertex n into n+1."""
+    runs = []
+    frontier = counting._frontier
+
+    def spy(graph, a, last):
+        out = frontier(graph, a, last)
+        runs.append((any(j == graph.n for _, j, _, _ in graph.edges), len(out)))
+        return out
+
+    monkeypatch.setattr(counting, "_frontier", spy)
+    return runs
 
 
 def _takes_fiber_states(graph):
@@ -343,22 +371,26 @@ class TestPrefixMemo:
         info = counting._fiber_states.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
 
-    def test_identity_check_runs_the_shared_layers_once(self):
+    def test_identity_check_runs_the_shared_layers_once(self, monkeypatch):
         g = catalan_graph(8)  # K_9
         h = strip_distinguished(g)
+        runs = _spy_on_passes(monkeypatch)
         for a, folded, unfolded in ((catalan_netflow(8), 22, 253), ((1,) * 8 + (-8,), 7, 28)):
+            runs.clear()
             counting._fiber_states.cache_clear()
             report = verify_identity_a(g, a)
             info = counting._fiber_states.cache_info()
             assert (info.misses, info.hits) == (1, 1)
             assert report.verdict is True
-            # the cached states are G's frontier after n-2 (the layers of
-            # 1..n-2 see only H's edges) with vertex n folded into n+1: one
-            # state per L
-            states = counting._fiber_states(h, tuple(a))
+            # the one pass ran on the head with vertex n folded into n+1:
+            # no edge into n, and one state per L
+            assert runs == [(False, folded)]
+            # the table is G's unfolded frontier after n-2 (the layers of
+            # 1..n-2 see only H's edges) mapped to (L, cut): every cut is 0
+            table = counting._fiber_states(h, tuple(a))
             unfolded_states = _frontier(g, a, g.n_plus_1 - 3)
-            assert dict(states) == _folded(unfolded_states)
-            assert (len(states), len(unfolded_states)) == (folded, unfolded)
+            assert _as_dict(table) == _table(unfolded_states, a[-2])
+            assert (len(table), len(unfolded_states)) == (folded, unfolded)
             assert report.lhs_count == _cold_count(g, a)
             assert report.rhs_count == _cold_count(delete_edges(g, [(7, 8, "-")]), a)
 
@@ -366,58 +398,60 @@ class TestPrefixMemo:
 class TestFold:
     """``_fiber_states`` folds vertex n into n+1 exactly when no state can
     have ``R = Y_n + a_n < 0``: ``a_n >= y`` with a positive head edge into
-    n, else ``a_n >= 0``.  On both sides of that line the counts and the
-    partial backend's literal aggregates must equal the unfolded pass's;
-    the cache size tells a fold (one state per L) from none, and a folded
-    cache holds exactly the image of the unfolded states."""
+    n, else ``a_n >= 0``.  On both sides of that line the table, the counts
+    and the partial backend's literal aggregates must equal the unfolded
+    pass's; the pass itself tells a fold (a head without edges into n, one
+    state per L) from none."""
 
     @staticmethod
-    def _check(g, a, cached, unfolded):
+    def _check(monkeypatch, g, a, passed, unfolded):
         h = strip_distinguished(g)
         n = g.n
         g_minus = delete_edges(g, [(n - 1, n, "-")])
         states = _frontier(h, a, n - 2)
+        assert len(states) == unfolded
         literal = (sum(w * (left + 1) for (left, _, _), w in states.items()),
                    sum(states.values()))
+        runs = _spy_on_passes(monkeypatch)
         counting._fiber_states.cache_clear()
         assert count_via_partial(g, a) == literal
-        assert (len(counting._fiber_states(h, a)), len(states)) == (cached, unfolded)
-        assert dict(counting._fiber_states(h, a)) == (
-            _folded(states) if cached < unfolded else states)
+        table = counting._fiber_states(h, a)
+        assert _as_dict(table) == _table(states, a[n - 1])
+        assert runs == [(passed == unfolded, passed)]
         for graph in (g, g_minus):
             assert count(graph, a) == _cold_count(graph, a) == brute_force_count(graph, a)
         return states
 
-    @pytest.mark.parametrize("a,cached,unfolded", [
+    @pytest.mark.parametrize("a,passed,unfolded", [
         ((2, 0, 1, -1), 3, 7),  # a_n = y = 1: folds
         ((2, 0, 0, 0), 7, 7),  # a_n = y - 1, the band: does not fold
         ((4, 0, 3, -3), 5, 19),  # a_n > y = 2
         ((2, 0, 0, -2), 3, 6),  # a_n = y = 0: no positive flow, folds
     ])
-    def test_positive_edge_into_n(self, mixed_no_loop, a, cached, unfolded):
-        states = self._check(mixed_no_loop, a, cached, unfolded)
+    def test_positive_edge_into_n(self, monkeypatch, mixed_no_loop, a, passed, unfolded):
+        states = self._check(monkeypatch, mixed_no_loop, a, passed, unfolded)
         # without the fold some state has R < 0 exactly on the band
-        assert any(y_n + a[2] < 0 for (_, y_n, _) in states) == (cached == unfolded)
+        assert any(y_n + a[2] < 0 for (_, y_n, _) in states) == (passed == unfolded)
 
-    @pytest.mark.parametrize("a,cached,unfolded", [
+    @pytest.mark.parametrize("a,passed,unfolded", [
         ((4, 0, 2, -2), 5, 19),  # a_n = y = 2, the loop beside: folds
         ((4, 0, 1, -1), 19, 19),  # a_n = y - 1: does not fold
     ])
-    def test_positive_edge_into_n_with_a_loop(self, gc_mixed, a, cached, unfolded):
-        self._check(gc_mixed, a, cached, unfolded)
+    def test_positive_edge_into_n_with_a_loop(self, monkeypatch, gc_mixed, a, passed, unfolded):
+        self._check(monkeypatch, gc_mixed, a, passed, unfolded)
 
-    @pytest.mark.parametrize("a,cached,unfolded", [
+    @pytest.mark.parametrize("a,passed,unfolded", [
         ((3, 1, 0, -4), 4, 10),  # a_n = 0: folds
         ((3, 1, -1, -3), 10, 10),  # a_n = -1: does not fold
         ((1, -2, 2, -1), 2, 3),  # a negative L folds all the same
     ])
-    def test_type_a(self, k4, a, cached, unfolded):
-        self._check(k4, a, cached, unfolded)
+    def test_type_a(self, monkeypatch, k4, a, passed, unfolded):
+        self._check(monkeypatch, k4, a, passed, unfolded)
 
-    def test_no_positive_edge_into_n(self, gc):
+    def test_no_positive_edge_into_n(self, monkeypatch, gc):
         # the loop at 1 is the only positive edge, so Y_n >= 0 and
         # a_n = 0 < y = 1 still folds
-        self._check(gc, (4, 0, 0, -2), 3, 6)
+        self._check(monkeypatch, gc, (4, 0, 0, -2), 3, 6)
 
 
 def _pitman_stanley_graph(n, last_mult):

@@ -32,6 +32,7 @@ from kpflows import (
     materialize_fiber,
     strip_distinguished,
 )
+from kpflows import counting
 
 from families import identity_corpus
 
@@ -407,6 +408,48 @@ class TestCountViaPartialAgainstEnumeration:
         # 31,743,391,680 partial flows, none of them listed
         result = count_via_partial(catalan_graph(8), catalan_netflow(8))
         assert result.total == catalan_product(8)
+
+
+class TestFiberTable:
+    """``counting._fiber_states`` against the ``(L, cut)`` histogram of the
+    listed partial flows, with ``L = Y_{n-1} + a_{n-1}`` and ``cut = max(0,
+    -(Y_n + a_n))``; the walk that lists them shares nothing with the DP."""
+
+    @staticmethod
+    def _check(g, a):
+        histogram = {}
+        for pf in enumerate_partial_flows(g, a):
+            key = (pf.inflows[0] + a[-3], max(0, -(pf.inflows[1] + a[-2])))
+            histogram[key] = histogram.get(key, 0) + 1
+        table = counting._fiber_states(strip_distinguished(g), tuple(a))
+        assert len(table) == len(histogram), (g, a)
+        assert {(left, cut): w for left, cut, w in table} == histogram, (g, a)
+        return table
+
+    def test_band_witness(self, mixed_no_loop):
+        a = (2, 0, 0, 0)  # y = a_n + 1
+        table = self._check(mixed_no_loop, a)
+        # 4 of the 9 partial flows do not extend to G - (n-1, n)
+        assert sum(w for _, _, w in table) == 9
+        assert sum(w for left, cut, w in table if left < 0 or cut) == 4
+        assert count(delete_edges(mixed_no_loop, [(2, 3, "-")]), a) == 9 - 4
+        # the literal total less the flows on G is the defect d_G = 2 that
+        # demos/05_mixed_sign_boundary.py prints
+        literal = sum(w * (left + 1) for left, _, w in table)
+        flows = sum(w * max(0, left + 1 - cut) for left, cut, w in table)
+        assert (literal, flows) == (9, count(mixed_no_loop, a)) == (9, 7)
+
+    def test_acceptance_corpus(self):
+        corpus = (identity_corpus(Theorem.TYPE_A, 108, seed0=1000)
+                  + identity_corpus(Theorem.TYPE_C_NEGATIVE, 108, seed0=2000)
+                  + identity_corpus(Theorem.TYPE_C_MIXED, 54, seed0=3000, a_max=2))
+        cut = left_negative = 0
+        for g, a in corpus:
+            table = self._check(g, a)
+            cut += any(c for _, c, _ in table)
+            left_negative += any(left < 0 for left, _, _ in table)
+        # the corpus reaches both kinds of partial flow that a fiber drops
+        assert cut and left_negative
 
 
 class TestAveragingIdentity:
