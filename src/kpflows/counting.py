@@ -508,25 +508,22 @@ def _frontier(
 def _fiber_states(
     head: SignedMultigraph, a: tuple[int, ...]
 ) -> tuple[tuple[int, int, int], ...]:
-    """The fiber table of the partial flows on ``head`` at ``a``: one
-    ``(L, cut, ways)`` per pair ``(L, cut)``, with ``ways`` the number of
-    partial flows that have ``L = Y_{n-1} + a_{n-1}`` and ``cut = max(0,
-    -R)``, ``R = Y_n + a_n``.  The fiber of such a partial flow on G is ``k
-    = 0..L`` with ``R + k`` on (n, n+1), so its members ``k < cut`` drop
-    out.  One entry, for the last head and netflow asked, shared by
-    :func:`count` and ``partial_flows.count_via_partial``.
+    """The fiber table of ``head`` at ``a``: a tuple of ``(L, cut, ways)``,
+    ``ways`` counting the partial flows with ``L = Y_{n-1} + a_{n-1}`` and
+    ``cut = max(0, -R)``, ``R = Y_n + a_n``, whose fiber on G keeps the
+    members ``k = cut..L`` (it puts ``R + k`` on (n, n+1)).  One entry, for
+    the last head and netflow asked, shared by :func:`count` and
+    ``partial_flows.count_via_partial``.
 
-    The table sums the ways of ``_frontier(head, a, n-2)``, whose states
-    are the inflows ``(L, Y_n, Y_{n+1})``, over the states with the same
-    ``(L, cut)``.  Where no state can have ``R < 0``, vertex n is folded
-    into n+1 first: each head edge ``(i, n, s)`` becomes ``(i, n+1, s)``,
-    merging multiplicities, and ``a_n`` moves into ``a_{n+1}``.  The states
-    are then ``(L, 0, Y_n + Y_{n+1})``, with the ways of the states that
-    merge summed: one state per L, since ``Phi = 0`` below fixes ``Y_n +
-    Y_{n+1} = -(L + a_n + a_{n+1})``.  Each gets ``cut = max(0, -a_n) =
-    0`` from the original ``a_n``, which the fold condition makes ``>=
-    0``, so the table is the same from fewer states (22 against 253 on the
-    K_9 staircase).  This is exact:
+    It sums the ways of the states ``(L, Y_n, Y_{n+1})`` of
+    ``_frontier(head, a, n-2)`` per ``(L, cut)``.  Where no state can have
+    ``R < 0``, vertex n is folded into n+1 first: each head edge ``(i, n,
+    s)`` becomes ``(i, n+1, s)``, merging multiplicities, and ``a_n`` moves
+    into ``a_{n+1}``.  The states are then ``(L, 0, Y_n + Y_{n+1})``, with
+    the ways of the states that merge summed: one state per L, since ``Phi
+    = 0`` below fixes ``Y_n + Y_{n+1} = -(L + a_n + a_{n+1})``; each gets
+    ``cut = 0`` from the original ``a_n``, so the table is the same from
+    fewer states (22 against 253 on the K_9 staircase).  This is exact:
 
     - the pass runs only vertices 1..n-2, so no coordinate from n-1 on is
       checked on arrival, and the fold keeps the supplies at 1..n-2, the
@@ -569,16 +566,13 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
 
     When the edges out of n-1, n and n+1 are the unit triangle among them
     (every hypothesis graph G, every complete graph) or the unit pair into
-    n+1 (G - (n-1, n)), the count is read off the fiber table of the head,
-    the edges out of ``1..n-2`` (:func:`_fiber_states`).  An entry ``(L,
-    cut)`` with w ways stands for partial flows that send k units on (n-1,
-    n), ``L - k`` on (n-1, n+1) and ``R + k`` on (n, n+1), where ``cut =
-    max(0, -R)``; so it adds ``w * max(0, L + 1 - cut)`` flows on the
-    triangle (none if ``L < 0``, since ``cut >= 0``) and ``w`` on the pair
-    (k = 0) if ``L >= 0`` and ``cut = 0``.  This is exact: no edge after
-    n-2 is positive, so ``v_p <= n-2`` and every partial flow has ``Phi =
-    0``, which balances vertex n+1; the entries with ``L < 0`` are the
-    states the full DP drops on arrival at n-1.  The counts of G and G -
+    n+1 (G - (n-1, n)), the count is a sum over the fiber table of the
+    head, the edges out of ``1..n-2`` (:func:`_fiber_states`): w partial
+    flows with ``(L, cut)`` extend to ``w * max(0, L + 1 - cut)`` flows on
+    the triangle, ``(k, L - k, R + k)`` for ``k = cut..L``, and to w flows
+    on the pair (k = 0) if ``L >= 0`` and ``cut = 0``.  This is exact: no
+    edge after n-2 is positive, so ``v_p <= n-2`` and every partial flow
+    has ``Phi = 0``, which balances vertex n+1.  The counts of G and G -
     (n-1, n) of an identity check and the partial backend share one table.
     """
     _check_netflow(graph, a)
