@@ -33,13 +33,16 @@ G's edge copies.  Two independent algorithms are provided:
   the loop each state is packed into one integer, one biased digit per
   coordinate in a radix derived from ``sum|a_i|``, and each edge group is one
   precompiled integer delta; only the returned frontier is decoded to tuples.
-  A group that sends t units from each state is swept one line
-  ``key + t*delta`` at a time: every state on a line reaches the same last
-  state, so one walk with m running sums (the hockey-stick identity gives
-  the weights ``comb(t+m-1, m-1)``) stores each new state once, instead of
-  merging one entry per (state, t) pair.
+  A vertex is its fan-out groups, then one close.  A fan-out group, which
+  sends t units from each state, is swept one line ``key + t*delta`` at a
+  time: every state on a line reaches the same last state, so one walk with
+  m running sums (the hockey-stick identity gives the weights
+  ``comb(t+m-1, m-1)``) stores each new state once, instead of merging one
+  entry per (state, t) pair.  The close drains the rest of the supply
+  through the vertex's loops, else its last out-group, and drops its digit.
   States that have placed more positive flow than ``y = sum(a)/2`` (type C)
-  are cut, and after the last positive source the positive total must be y.
+  are cut, and when the last positive source closes the positive total
+  must be y.
 
 All arithmetic is exact (Python integers); counts grow super-exponentially
 and must not be truncated.
@@ -299,15 +302,17 @@ def _frontier(
     The frontier maps a state to the number of ways of reaching it; a state
     entering vertex v is the flat tuple ``(supply left at v, committed
     inflow of v+1, ..., of n+1)``, where the supply is ``a_v`` plus negative
-    inflow minus positive inflow.  Each out-group ``(v, j, sign)`` of
-    multiplicity m sends ``t = 0..supply`` units (fewer on a positive edge,
-    see below) into coordinate j in ``comb(t+m-1, m-1)`` ways, and equal
-    states merge (the sweep below does both at once); the last group of a
-    loopless vertex takes whatever is left.  Loops then drain the rest two
-    units at a time (none may be left without loops).  States with negative
-    supply die on arrival at vertices ``1..last``; the arrival at
-    ``last+1``, the first coordinate of every returned state, is kept
-    whatever its sign.  With ``last = n+1`` the only state is ``()``.
+    inflow minus positive inflow.  A vertex has two parts.  First its
+    fan-out groups, every out-group ``(v, j, sign)`` but the last of a
+    loopless vertex: one of multiplicity m sends ``t = 0..supply`` units
+    (fewer on a positive edge, see below) into coordinate j in
+    ``comb(t+m-1, m-1)`` ways, and equal states merge (the sweep below does
+    both at once).  Then one close drains what is left: through the
+    vertex's loops, two units per copy sent, if it has any; otherwise
+    through its last out-group, all of it; otherwise nothing may be left.
+    States with negative supply die on arrival at vertices ``1..last``; the
+    arrival at ``last+1``, the first coordinate of every returned state, is
+    kept whatever its sign.  With ``last = n+1`` the only state is ``()``.
 
     The positive-flow budget cuts the states that can reach no flow.  Let
     ``Phi`` be the sum of a state's coordinates plus ``a_{v+1} + ... +
@@ -317,20 +322,20 @@ def _frontier(
     unit, and every flow ends at ``Phi = 0``; so a state with ``Phi < 0`` is
     dead.  With v_p the last vertex with a positive out-edge or a loop:
 
-    - a positive out-group sends at most ``min(supply, Phi // 2)`` units,
-      since more would make Phi negative;
-    - a closing positive group sending the rest dies if ``2*rest > Phi``,
-      for the same reason;
-    - loops draining the rest die if ``rest > Phi``, for the same reason;
-    - nothing after the last positive group of v_p (or after its loops)
-      changes Phi, so there Phi must already be 0: that group sends exactly
-      ``Phi / 2`` units, and every state from the close of v_p on has
-      ``Phi = 0``; without any positive source Phi never moves, and the
-      frontier is empty unless ``sum(a) = 0``.
+    - a positive fan-out group sends at most ``min(supply, Phi // 2)``
+      units, since more would make Phi negative;
+    - a close dies if it leaves Phi negative, for the same reason: when
+      its last out-group is positive and ``2*rest > Phi``, or when it has
+      loops and ``rest > Phi``;
+    - nothing after the close of v_p changes Phi, so that close dies
+      unless it leaves ``Phi = 0``, and every state from the close of v_p
+      on has ``Phi = 0``; without any positive source Phi never moves, and
+      the frontier is empty unless ``sum(a) = 0``.
 
-    Negative groups check nothing, so type A counts do no extra work.  The
-    cuts drop only states that lead to no flow, and every state returned
-    for ``last >= v_p`` has ``Phi = 0``.
+    Negative groups check nothing but at the close of v_p, so type A
+    counts, which have no v_p, do no extra work.  The cuts drop only states
+    that lead to no flow, and every state returned for ``last >= v_p`` has
+    ``Phi = 0``.
 
     Inside the loop a state is one integer: coordinate k (the supply is
     k = 0) is digit k in radix ``B = 2K+1``, stored as ``c_k + K`` with
@@ -340,8 +345,8 @@ def _frontier(
     positive one), and closing a vertex drops the lowest digit with
     ``key // B``.  Only the returned frontier is decoded to tuples.
 
-    A fan-out group (any out-group but the closing one and the exact one at
-    v_p) is swept one line at a time, not one (state, t) pair at a time.
+    A fan-out group is swept one line at a time, not one (state, t) pair at
+    a time.
     Let ``top`` be the most a state may send: its supply, or ``min(supply,
     Phi // 2)`` on a positive group.  One step ``+delta`` lowers the supply
     by 1 and Phi by 0 on a negative group or by 2 on a positive one, so
@@ -416,79 +421,58 @@ def _frontier(
         # Phi = (key + off) % 2K + base for a key of n1-v+1 digits
         off = (big - (n1 - v + 1) * big) % wrap
         base = tail - big
-        # the last group of a loopless vertex takes the whole rest, which
-        # leaves the supply digit at its bias, and closes the vertex at once
-        closing = len(groups) - 1 if groups and not loops else -1
-        # at v_p, Phi must reach 0 in its last positive group or its loops
-        exact = -1
-        if v == last_positive and not loops:
-            exact = max(k for k, g in enumerate(groups) if g[2])
-        for idx, (delta, m, positive) in enumerate(groups):
+        for delta, m, positive in groups if loops else groups[:-1]:
+            # in key order along delta, the first old state met on a line is
+            # its farthest back and so has the largest top; the walk from it
+            # pops the rest of its line, whose pops then find 0
             nxt: dict[int, int] = {}
-            if idx == closing:
-                while frontier:
-                    key, ways = frontier.popitem()
-                    rem = key % radix - big
-                    if positive:
-                        phi = (key + off) % wrap + base - 2 * rem
-                        if phi < 0 or phi and idx == exact:
-                            continue
-                    if m > 1:
-                        ways *= comb(rem + m - 1, m - 1)
-                    state = (key + rem * delta) // radix + supply
-                    if v < last and state % radix < big:  # negative arrival
+            pop = frontier.pop
+            for key in sorted(frontier, reverse=delta < 0):
+                acc = pop(key, 0)
+                if not acc:
+                    continue
+                top = key % radix - big
+                if positive:
+                    top = min(top, ((key + off) % wrap + base) // 2)
+                    if top < 0:
                         continue
-                    nxt[state] = nxt.get(state, 0) + ways
-            elif idx == exact:
-                while frontier:
-                    key, ways = frontier.popitem()
-                    t, odd = divmod((key + off) % wrap + base, 2)
-                    if odd or not 0 <= t <= key % radix - big:
-                        continue
-                    state = key + t * delta
-                    nxt[state] = nxt.get(state, 0) + ways * comb(t + m - 1, m - 1)
-            else:
-                # in key order along delta, the first old state met on a line
-                # is its farthest back and so has the largest top; the walk
-                # from it pops the rest of its line, whose pops then find 0
-                pop = frontier.pop
-                for key in sorted(frontier, reverse=delta < 0):
-                    acc = pop(key, 0)
-                    if not acc:
-                        continue
-                    top = key % radix - big
-                    if positive:
-                        top = min(top, ((key + off) % wrap + base) // 2)
-                        if top < 0:
-                            continue
-                    nxt[key] = acc
-                    if m == 1:  # one running sum needs no list
-                        for state in range(key + delta, key + (top + 1) * delta, delta):
-                            acc += pop(state, 0)
-                            nxt[state] = acc
-                    else:
-                        sums = [acc] * m
-                        for state in range(key + delta, key + (top + 1) * delta, delta):
-                            acc = pop(state, 0)
-                            for i in range(m):
-                                sums[i] = acc = sums[i] + acc
-                            nxt[state] = acc
+                nxt[key] = acc
+                if m == 1:  # one running sum needs no list
+                    for state in range(key + delta, key + (top + 1) * delta, delta):
+                        acc += pop(state, 0)
+                        nxt[state] = acc
+                else:
+                    sums = [acc] * m
+                    for state in range(key + delta, key + (top + 1) * delta, delta):
+                        acc = pop(state, 0)
+                        for i in range(m):
+                            sums[i] = acc = sums[i] + acc
+                        nxt[state] = acc
             frontier = nxt
-        if closing >= 0:
-            continue
+        # the close drains the rest: the loops two units per copy sent, else
+        # the last out-group all of it, else nothing (radix exceeds any rest,
+        # so a rest is a remainder)
+        if loops:
+            delta, m, positive, unit = 0, loops, True, 2
+        elif groups:
+            (delta, m, positive), unit = groups[-1], 1
+        else:
+            delta, m, positive, unit = 0, 1, False, radix
+        at_vp = v == last_positive
         nxt = {}
         while frontier:
             key, ways = frontier.popitem()
-            rem = key % radix - big
-            if loops:
-                phi = (key + off) % wrap + base - rem  # Phi after the loops
-                if rem % 2 or phi < 0 or phi and v == last_positive:
-                    continue
-                ways *= comb(rem // 2 + loops - 1, loops - 1)
-            elif rem:
+            t, odd = divmod(key % radix - big, unit)
+            if odd:
                 continue
+            if positive or at_vp:
+                phi = (key + off) % wrap + base - (2 * t if positive else 0)
+                if phi < 0 or phi and at_vp:  # Phi after the close
+                    continue
+            if m > 1:
+                ways *= comb(t + m - 1, m - 1)
             # after vertex n+1 the key has one digit and the supply is 0
-            state = key // radix + supply
+            state = (key + t * delta) // radix + supply
             if v < last and state % radix < big:  # negative arrival
                 continue
             nxt[state] = nxt.get(state, 0) + ways

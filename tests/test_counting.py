@@ -89,7 +89,9 @@ class TestBruteForce:
 def _assert_positive_budget(g, a, last_positive, flows):
     """Phi = sum(a) - 2 * (positive flow so far) is a returned state's
     coordinate sum plus a_{v+2} + ... + a_{n+1}; it never rises, every flow
-    ends at Phi = 0, and from the last positive source v_p on it is 0."""
+    ends at Phi = 0, and from the last positive source v_p on it is 0, by
+    one test at v_p's close, whether that close drains through a positive
+    group, a negative group after the last positive one, or loops."""
     for v in range(g.n_plus_1 + 1):
         frontier = _frontier(g, a, v)
         assert frontier
@@ -150,10 +152,18 @@ class TestCount:
 
     def test_frontier_sweeps_a_positive_fan_out_under_the_budget(self):
         # the last positive source is 2, so vertex 1 sweeps (1,2,+) under
-        # the budget rather than closing on it
+        # the budget and its close on (1,4,-) leaves Phi as it is
         g = build_graph(4, "C", [(1, 2, "+", 1), (1, 3, "-", 1), (1, 4, "-", 1),
                                  (2, 3, "+", 1), (2, 4, "-", 1), (3, 4, "-", 1)])
         _assert_positive_budget(g, (3, 2, 0, -3), last_positive=2, flows=6)
+
+    def test_frontier_closes_the_last_positive_source_through_its_loops(self):
+        # v_p = 2 sweeps (2,3,-) and (2,4,-); its close drains the rest
+        # through the loops and keeps only the states it leaves at Phi = 0
+        g = build_graph(4, "C", [(1, 2, "-", 1), (1, 3, "+", 1), (2, 2, "+", 2),
+                                 (2, 3, "-", 1), (2, 4, "-", 1), (3, 4, "-", 1)])
+        assert brute_force_count(g, (4, 2, 0, -2)) == 18
+        _assert_positive_budget(g, (4, 2, 0, -2), last_positive=2, flows=18)
 
     def test_single_vertex_loop(self):
         g = build_graph(1, "C", [(1, 1, "+", 1)])
@@ -162,8 +172,8 @@ class TestCount:
         assert count(build_graph(1, "A", []), (0,)) == 1
 
     def test_thick_exact_group(self):
-        # v_p = 2 sends exactly Phi/2 units along its two copies of (2,3,+),
-        # in comb(t+1, 1) ways
+        # v_p = 2 sweeps its two copies of (2,3,+) in comb(t+1, 1) ways, and
+        # its close on (2,4,-) keeps the states that sent exactly Phi/2 units
         g = build_graph(4, "C", [(1, 2, "-", 1), (1, 3, "-", 1), (2, 3, "+", 2),
                                  (2, 4, "-", 1), (3, 4, "-", 1)])
         for a, flows in (((2, 2, 0, -2), 4), ((1, 3, 1, -1), 3), ((2, 2, 2, -2), 9)):
@@ -723,7 +733,7 @@ class TestOracleAgreement:
                                   (2, 3, "+", 1)]), (3, 1, 0)),
             (build_graph(4, "C", [(1, 2, "-", 1), (1, 4, "+", 2), (2, 3, "-", 1),
                                   (2, 4, "-", 1), (3, 4, "+", 1)]), (3, 1, 2, -2)),
-            # three copies ahead of the closing group: three running sums
+            # three copies ahead of the close: three running sums
             # along each line, on a negative edge and on a positive edge
             # whose lines the budget cuts short
             (build_graph(3, "A", [(1, 2, "-", 3), (1, 3, "-", 1), (2, 3, "-", 1)]),
