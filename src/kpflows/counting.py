@@ -449,9 +449,9 @@ def _frontier(
                             sums[i] = acc = sums[i] + acc
                         nxt[state] = acc
             frontier = nxt
-        # the close drains the rest: the loops two units per copy sent, else
-        # the last out-group all of it, else nothing (radix exceeds any rest,
-        # so a rest is a remainder)
+        # the close drains the rest: the loops take two units per copy sent,
+        # else the last out-group takes all of it, else none may be left
+        # (every rest is below radix, so rest % radix is the rest itself)
         if loops:
             delta, m, positive, unit = 0, loops, True, 2
         elif groups:
@@ -462,9 +462,10 @@ def _frontier(
         nxt = {}
         while frontier:
             key, ways = frontier.popitem()
-            t, odd = divmod(key % radix - big, unit)
-            if odd:
+            rem = key % radix - big
+            if rem % unit:
                 continue
+            t = rem // unit
             if positive or at_vp:
                 phi = (key + off) % wrap + base - (2 * t if positive else 0)
                 if phi < 0 or phi and at_vp:  # Phi after the close

@@ -165,6 +165,17 @@ class TestCount:
         assert brute_force_count(g, (4, 2, 0, -2)) == 18
         _assert_positive_budget(g, (4, 2, 0, -2), last_positive=2, flows=18)
 
+    def test_frontier_drops_a_negative_budget_before_the_last_positive_source(self):
+        # count answers a negative or odd sum(a) before the DP runs, but the
+        # DP alone drops every state whose Phi goes negative: in a positive
+        # fan-out group (Phi = -2 here), and in a positive close (Phi = 1,
+        # and sending the whole supply 1 along (1,3,+) leaves -1)
+        g = build_graph(4, "C", [(1, 2, "+", 1), (1, 3, "-", 1), (1, 4, "-", 1),
+                                 (2, 3, "+", 1), (2, 4, "-", 1), (3, 4, "-", 1)])
+        assert _frontier(g, (3, 2, 0, -7), 1) == {}
+        g = build_graph(3, "C", [(1, 2, "-", 1), (1, 3, "+", 1), (2, 3, "+", 1)])
+        assert _frontier(g, (1, 0, 0), 1) == {(1, 0): 1}
+
     def test_single_vertex_loop(self):
         g = build_graph(1, "C", [(1, 1, "+", 1)])
         assert count(g, (4,)) == 1
