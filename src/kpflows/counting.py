@@ -59,7 +59,7 @@ from math import comb, inf
 
 from .errors import DimensionMismatch, LimitExceeded
 from .graphs import (
-    NEG, POS, Edge, SignedMultigraph, _edge_sort_key, _is_int, _positive_target, root_of_edge,
+    NEG, POS, Edge, SignedMultigraph, _is_int, _positive_target, build_graph, root_of_edge,
 )
 
 FlowVector = tuple[int, ...]
@@ -496,19 +496,23 @@ def _fiber_states(
     """The fiber table of ``head`` at ``a``: a tuple of ``(L, cut, ways)``,
     ``ways`` counting the partial flows with ``L = Y_{n-1} + a_{n-1}`` and
     ``cut = max(0, -R)``, ``R = Y_n + a_n``, whose fiber on G keeps the
-    members ``k = cut..L`` (it puts ``R + k`` on (n, n+1)).  One entry, for
-    the last head and netflow asked, shared by :func:`count` and
-    ``partial_flows.count_via_partial``.
+    members ``k = cut..L`` (it puts ``R + k`` on (n, n+1)).  The entries are
+    sorted by ``(L, cut)``, so what reads the table, such as the refusal of
+    ``partial_flows.count_via_partial``, does not depend on the order in
+    which the DP stores its states.  One table, for the last head and
+    netflow asked, shared by :func:`count` and ``count_via_partial``.
 
     It sums the ways of the states ``(L, Y_n, Y_{n+1})`` of
     ``_frontier(head, a, n-2)`` per ``(L, cut)``.  Where no state can have
     ``R < 0``, vertex n is folded into n+1 first: each head edge ``(i, n,
-    s)`` becomes ``(i, n+1, s)``, merging multiplicities, and ``a_n`` moves
-    into ``a_{n+1}``.  The states are then ``(L, 0, Y_n + Y_{n+1})``, with
-    the ways of the states that merge summed: one state per L, since ``Phi
-    = 0`` below fixes ``Y_n + Y_{n+1} = -(L + a_n + a_{n+1})``; each gets
-    ``cut = 0`` from the original ``a_n``, so the table is the same from
-    fewer states (22 against 253 on the K_9 staircase).  This is exact:
+    s)`` is relabeled ``(i, n+1, s)``, and :func:`kpflows.graphs.build_graph`
+    merges the copies of an edge.  The netflow stays as it is: the pass adds
+    the supplies ``a_1..a_{n-1}`` only, and Phi reads ``a_n`` and
+    ``a_{n+1}`` only through their sum.  The states are then ``(L, 0, Y_n +
+    Y_{n+1})``, with the ways of the states that merge summed: one state per
+    L, since ``Phi = 0`` below fixes ``Y_n + Y_{n+1} = -(L + a_n +
+    a_{n+1})``; each gets ``cut = 0`` from ``a_n``, so the table is the same
+    from fewer states (22 against 253 on the K_9 staircase).  This is exact:
 
     - the pass runs only vertices 1..n-2, so no coordinate from n-1 on is
       checked on arrival, and the fold keeps the supplies at 1..n-2, the
@@ -529,15 +533,12 @@ def _fiber_states(
     a_n = a[n - 1]
     positive_into_n = any(j == n and sign == POS for _, j, sign, _ in head.edges)
     if a_n >= ((_positive_target(head, a)[1] or 0) if positive_into_n else 0):
-        merged: Counter[Edge] = Counter()
-        for i, j, sign, m in head.edges:
-            merged[i, n + 1 if j == n else j, sign] += m
-        edges = tuple((*e, merged[e]) for e in sorted(merged, key=_edge_sort_key))
-        head, a = head._replace(edges=edges), a[: n - 1] + (0, a_n + a[n])
+        head = build_graph(head.n_plus_1, head.kind, [
+            (i, n + 1 if j == n else j, sign, m) for i, j, sign, m in head.edges])
     table: Counter[tuple[int, int]] = Counter()
     for (left, y_n, _), ways in _frontier(head, a, n - 2).items():
         table[left, max(0, -(y_n + a_n))] += ways
-    return tuple((left, cut, ways) for (left, cut), ways in table.items())
+    return tuple((left, cut, ways) for (left, cut), ways in sorted(table.items()))
 
 
 def count(graph: SignedMultigraph, a: Sequence[int]) -> int:

@@ -5,8 +5,11 @@ class KPFlowsError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidEdge(KPFlowsError):
-    """Edge endpoints out of range, i > j, bad sign, or negative multiplicity."""
+class InvalidEdge(KPFlowsError, ValueError):
+    """A vertex count that is not a positive integer, or an edge with
+    endpoints out of range, i > j, a bad sign, or a multiplicity that is not
+    a nonnegative integer.  A ``ValueError`` too, since graph JSON is
+    validated by the same code."""
 
 
 class KindViolation(KPFlowsError):

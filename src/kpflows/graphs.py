@@ -28,8 +28,6 @@ if TYPE_CHECKING:  # fractions loads decimal; only two functions build a Fractio
 NEG = "-"
 POS = "+"
 
-_SIGN_KEY = {NEG: 0, POS: 1}
-
 Edge = tuple[int, int, str]
 
 
@@ -65,11 +63,6 @@ class Theorem(enum.Enum):
 def _is_int(x: object) -> bool:
     """An integer that is not a boolean (``True`` is an ``int`` in Python)."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _edge_sort_key(slot: Edge) -> tuple[int, int, int]:
-    i, j, sign = slot
-    return (i, j, _SIGN_KEY[sign])
 
 
 class SignedMultigraph(NamedTuple):
@@ -118,15 +111,21 @@ class SignedMultigraph(NamedTuple):
 
     @staticmethod
     def from_json_dict(obj: object) -> "SignedMultigraph":
-        """Parse the graph JSON schema, naming the offending field on error."""
+        """Parse the graph JSON schema.
+
+        Checks only the document's shape: an object with ``n_plus_1``,
+        ``kind`` ``"A"`` or ``"C"`` and an ``edges`` list whose entries are
+        objects with ``i``, ``j``, ``sign`` and ``mult``.  The values go to
+        :func:`build_graph`, which checks them and names the offending entry
+        (``edges[k].sign``, ``n_plus_1``, ...).  A malformed document raises
+        ``ValueError`` (:class:`InvalidEdge` is one), an edge the kind
+        forbids :class:`KindViolation`.
+        """
         if not isinstance(obj, dict):
             raise ValueError("graph JSON must be an object")
         for field in ("n_plus_1", "kind", "edges"):
             if field not in obj:
                 raise ValueError(f"graph JSON is missing field '{field}'")
-        n_plus_1 = obj["n_plus_1"]
-        if not _is_int(n_plus_1) or n_plus_1 < 1:
-            raise ValueError("graph JSON field 'n_plus_1' must be a positive integer")
         kind = obj["kind"]
         if kind not in ("A", "C"):
             raise ValueError("graph JSON field 'kind' must be \"A\" or \"C\"")
@@ -140,15 +139,8 @@ class SignedMultigraph(NamedTuple):
             for field in ("i", "j", "sign", "mult"):
                 if field not in entry:
                     raise ValueError(f"edges[{idx}] is missing field '{field}'")
-            i, j, sign, m = entry["i"], entry["j"], entry["sign"], entry["mult"]
-            if not _is_int(i) or not _is_int(j):
-                raise ValueError(f"edges[{idx}].i and edges[{idx}].j must be integers")
-            if sign not in (NEG, POS):
-                raise ValueError(f"edges[{idx}].sign must be \"-\" or \"+\"")
-            if not _is_int(m) or m < 0:
-                raise ValueError(f"edges[{idx}].mult must be a nonnegative integer")
-            edges.append((i, j, sign, m))
-        return build_graph(n_plus_1, GraphKind(kind), edges)
+            edges.append((entry["i"], entry["j"], entry["sign"], entry["mult"]))
+        return build_graph(obj["n_plus_1"], GraphKind(kind), edges)
 
 
 def build_graph(
@@ -158,42 +150,37 @@ def build_graph(
 ) -> SignedMultigraph:
     """Build a graph from (i, j, sign, multiplicity) entries.
 
-    Repeated listings of the same edge sum their multiplicities.  Raises
-    :class:`InvalidEdge` for malformed endpoints and :class:`KindViolation`
-    for edges the declared kind forbids.
+    The one place where graph values are checked, repeated listings of an
+    edge are merged (their multiplicities sum), multiplicity-0 entries are
+    dropped and the edges are put in canonical order; the JSON loader, the
+    generator and the fibration's fold all build through it.  Raises
+    :class:`InvalidEdge` for a bad vertex count, endpoint, sign or
+    multiplicity and :class:`KindViolation` for an edge the declared kind
+    forbids; the message names the entry as listed, e.g. ``edges[0].sign``.
     """
     if not _is_int(n_plus_1) or n_plus_1 < 1:
-        raise InvalidEdge(f"vertex count must be a positive integer, got {n_plus_1!r}")
+        raise InvalidEdge(f"n_plus_1 must be a positive integer, got {n_plus_1!r}")
     kind = GraphKind(kind)
     mult: dict[Edge, int] = {}
-    for entry in edges:
-        i, j, sign, m = entry
-        if not _is_int(i) or not _is_int(j):
-            raise InvalidEdge(f"endpoints must be integers: {entry!r}")
-        if i > j:
-            raise InvalidEdge(f"edge ({i},{j}) must have i <= j")
-        if i < 1 or j > n_plus_1:
-            raise InvalidEdge(f"edge ({i},{j}) out of range for {n_plus_1} vertices")
+    for k, (i, j, sign, m) in enumerate(edges):
+        if not _is_int(i) or not 1 <= i <= n_plus_1:
+            raise InvalidEdge(f"edges[{k}].i must be an integer in 1..{n_plus_1}, got {i!r}")
+        if not _is_int(j) or not i <= j <= n_plus_1:
+            raise InvalidEdge(f"edges[{k}].j must be an integer in {i}..{n_plus_1}, got {j!r}")
         if sign not in (NEG, POS):
-            raise InvalidEdge(f"sign must be '-' or '+', got {sign!r}")
+            raise InvalidEdge(f"edges[{k}].sign must be '-' or '+', got {sign!r}")
         if not _is_int(m) or m < 0:
-            raise InvalidEdge(f"multiplicity must be a nonnegative integer, got {m!r}")
-        if kind is GraphKind.TYPE_A:
-            if i == j:
-                raise KindViolation(f"type A forbids loops: ({i},{j},{sign})")
-            if sign == POS:
-                raise KindViolation(f"type A forbids positive edges: ({i},{j},{sign})")
-        else:
-            if i == j and sign == NEG:
-                raise KindViolation(f"loops must be positive: ({i},{j},{sign})")
+            raise InvalidEdge(f"edges[{k}].mult must be a nonnegative integer, got {m!r}")
+        if kind is GraphKind.TYPE_A and (i == j or sign == POS):
+            what = "loops" if i == j else "positive edges"
+            raise KindViolation(f"edges[{k}]: type A forbids {what}: ({i},{j},{sign})")
+        if i == j and sign == NEG:
+            raise KindViolation(f"edges[{k}]: loops must be positive: ({i},{j},{sign})")
         if m:
-            key = (i, j, sign)
-            mult[key] = mult.get(key, 0) + m
-    frozen = tuple(
-        (i, j, sign, mult[(i, j, sign)])
-        for (i, j, sign) in sorted(mult, key=_edge_sort_key)
-    )
-    return SignedMultigraph(n_plus_1=n_plus_1, kind=kind, edges=frozen)
+            mult[i, j, sign] = mult.get((i, j, sign), 0) + m
+    # canonical order: by (i, j), then "-" before "+" (ASCII puts "+" first)
+    order = sorted(mult, key=lambda e: (e[0], e[1], e[2] == POS))
+    return SignedMultigraph(n_plus_1, kind, tuple((*e, mult[e]) for e in order))
 
 
 def complete_type_a(n_plus_1: int) -> SignedMultigraph:

@@ -214,8 +214,10 @@ def generate_bv_family(
     is then either left empty or solved to have exactly that ratio, with all
     multiplicities at most ``max_mult``.  Extra edges (and, on type C, loops
     and positive edges where the variant permits) are sprinkled among the
-    first n-2 vertices.  Resamples until the hypothesis holds, with a
-    deterministic all-rows-nonzero fallback.
+    first n-2 vertices.  Each draw lists its edges and :func:`build_graph`
+    merges them.  Resamples until the hypothesis holds, at most 100 draws,
+    then raises :class:`InfeasibleParams`; no generation with n+1 = 3..7 and
+    ``max_mult`` 1..3 has been seen to need more than 8.
     """
     theorem = Theorem(theorem)
     kind = theorem.kind
@@ -232,58 +234,35 @@ def generate_bv_family(
     signs = (NEG, POS) if theorem is Theorem.TYPE_C_MIXED else (NEG,)
     internal_pairs = list(combinations(range(1, n - 1), 2))
 
-    def add(edges: dict, i: int, j: int, sign: str, m: int) -> None:
-        if m:
-            edges[(i, j, sign)] = edges.get((i, j, sign), 0) + m
-
-    def add_row(edges: dict, j: int, sign: str) -> None:
+    def row(j: int, sign: str) -> list[tuple[int, int, str, int]]:
         t_max = max_mult // q
         if p > q:
             t_max = min(t_max, (2 * max_mult) // (p - q))
         t = rng.randint(1, t_max)
         total = t * (p - q)
         m2 = rng.randint(max(0, total - max_mult), min(max_mult, total))
-        add(edges, j, top[0], sign, q * t)
-        add(edges, j, top[1], sign, m2)
-        add(edges, j, top[2], sign, total - m2)
-
-    def assemble(edges: dict) -> SignedMultigraph:
-        return build_graph(
-            n_plus_1, kind, [(i, j, s, m) for (i, j, s), m in edges.items()]
-        )
+        return [(j, top[0], sign, q * t), (j, top[1], sign, m2), (j, top[2], sign, total - m2)]
 
     for _attempt in range(100):
-        edges: dict[tuple[int, int, str], int] = {}
-        for u, v, sign in distinguished_edges(n):
-            add(edges, u, v, sign, 1)
+        edges = [(u, v, sign, 1) for u, v, sign in distinguished_edges(n)]
         for j in range(1, n - 1):
             for sign in signs:
                 if rng.random() < 0.75:
-                    add_row(edges, j, sign)
+                    edges += row(j, sign)
         for i, j in internal_pairs:
             if rng.random() < 0.3:
-                add(edges, i, j, NEG, rng.randint(1, max_mult))
+                edges.append((i, j, NEG, rng.randint(1, max_mult)))
         if kind is GraphKind.TYPE_C:
             for i, j in internal_pairs:
                 if rng.random() < 0.2:
-                    add(edges, i, j, POS, rng.randint(1, max_mult))
+                    edges.append((i, j, POS, rng.randint(1, max_mult)))
             for i in range(1, n - 1):
                 if rng.random() < 0.2:
-                    add(edges, i, i, POS, rng.randint(1, max_mult))
-        graph = assemble(edges)
+                    edges.append((i, i, POS, rng.randint(1, max_mult)))
+        graph = build_graph(n_plus_1, kind, edges)
         if _hypothesis(graph, theorem)[0].satisfied:
             return graph
-
-    # fallback: every row nonzero ties each early vertex to the top triangle
-    edges = {}
-    for u, v, sign in distinguished_edges(n):
-        add(edges, u, v, sign, 1)
-    half = (p - q) // 2
-    for j in range(1, n - 1):
-        add(edges, j, top[0], NEG, q)
-        add(edges, j, top[1], NEG, half)
-        add(edges, j, top[2], NEG, (p - q) - half)
-    graph = assemble(edges)
-    if not _hypothesis(graph, theorem)[0].satisfied:  # pragma: no cover - construction guarantees this
-        raise RuntimeError("generator fallback violated its own hypothesis")
-    return graph
+    raise InfeasibleParams(
+        f"no graph met the {theorem.value} hypothesis in 100 draws "
+        f"(n_plus_1={n_plus_1}, max_mult={max_mult}, seed={seed})"
+    )

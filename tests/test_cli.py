@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from kpflows import catalan_graph, catalan_netflow, catalan_product, count
+from kpflows import bv_hypothesis, catalan_graph, catalan_netflow, catalan_product, count
 from kpflows.cli import run_cli
 import kpflows.cli as cli
+import kpflows.identities as identities
 
 
 @pytest.fixture
@@ -517,6 +518,14 @@ class TestGenerate:
             capsys, ["witness", "--graph", str(out_path), "--a", "[2,1,1,0]"]
         )
         assert code == 0
+
+    def test_exhausted_draws_are_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(identities, "_hypothesis", lambda graph, theorem: (
+            bv_hypothesis(graph, theorem)._replace(satisfied=False), None))
+        code, out, err = _run(capsys, ["generate", "--n-plus-1", "5", "--theorem", "a"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: no graph met the a hypothesis in 100 draws")
+        assert err.count("\n") == 1
 
 
 class TestCatalan:

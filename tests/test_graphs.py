@@ -46,41 +46,49 @@ class TestBuildGraph:
         assert g.edges == ()
 
     def test_loop_forbidden_in_type_a(self):
-        with pytest.raises(KindViolation):
+        with pytest.raises(KindViolation, match=r"^edges\[0\]: type A forbids loops: \(1,1,-\)$"):
             build_graph(3, "A", [(1, 1, "-", 1)])
-        with pytest.raises(KindViolation):
-            build_graph(3, "A", [(1, 1, "+", 1)])
+        with pytest.raises(KindViolation, match=r"^edges\[1\]: type A forbids loops: \(1,1,\+\)$"):
+            build_graph(3, "A", [(1, 2, "-", 1), (1, 1, "+", 1)])
 
     def test_positive_edge_forbidden_in_type_a(self):
-        with pytest.raises(KindViolation):
+        with pytest.raises(KindViolation, match=r"^edges\[0\]: type A forbids positive edges: "):
             build_graph(3, "A", [(1, 2, "+", 1)])
 
     def test_negative_loop_forbidden_in_type_c(self):
-        with pytest.raises(KindViolation):
+        with pytest.raises(KindViolation, match=r"^edges\[0\]: loops must be positive: \(2,2,-\)$"):
             build_graph(3, "C", [(2, 2, "-", 1)])
 
     def test_invalid_edges(self):
-        with pytest.raises(InvalidEdge):
+        # every message names the offending entry as listed
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.j must be an integer in 2\.\.3, got 1$"):
             build_graph(3, "A", [(2, 1, "-", 1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.j .* got 4$"):
             build_graph(3, "A", [(1, 4, "-", 1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.i must be an integer in 1\.\.3, got 0$"):
             build_graph(3, "A", [(0, 2, "-", 1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.mult must be a nonnegative integer, got -1$"):
             build_graph(3, "A", [(1, 2, "-", -1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.sign must be '-' or '\+', got 'x'$"):
             build_graph(3, "A", [(1, 2, "x", 1)])
+        with pytest.raises(InvalidEdge, match=r"^edges\[2\]\.i .* got 4$"):
+            build_graph(3, "A", [(1, 2, "-", 1), (2, 3, "-", 0), (4, 4, "+", 1)])
+        with pytest.raises(InvalidEdge, match=r"^n_plus_1 must be a positive integer, got 0$"):
+            build_graph(0, "A", [])
+        assert build_graph(1, "C", [(1, 1, "+", 2)]).num_edges == 2  # the smallest graph
 
     def test_booleans_rejected(self):
         # True == 1 in Python; a boolean endpoint or multiplicity is a typo
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.mult .* got True$"):
             build_graph(3, "A", [(1, 2, "-", True), (2, 3, "-", 1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.i .* got True$"):
             build_graph(3, "A", [(True, 2, "-", 1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^edges\[0\]\.j .* got True$"):
             build_graph(3, "A", [(1, True, "-", 1)])
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^n_plus_1 .* got True$"):
             build_graph(True, "A", [])
+        with pytest.raises(InvalidEdge, match=r"^edges\[1\]\.sign .* got True$"):
+            build_graph(3, "C", [(1, 2, "-", 1), (1, 3, True, 1)])
 
     def test_canonical_edge_order(self):
         g = build_graph(3, "C", [(2, 3, "-", 1), (1, 2, "+", 1), (1, 2, "-", 1)])

@@ -18,6 +18,7 @@ from kpflows import (
     verify_identity_a,
     verify_identity_c,
 )
+from kpflows import identities
 
 from families import identity_corpus
 
@@ -232,6 +233,18 @@ class TestGenerator:
             if generate_bv_family(4, Theorem.TYPE_A, 1, seed) == k4
         ]
         assert hits, "K4 should appear among unit-multiplicity outputs"
+
+    def test_exhaustion_raises_after_100_draws(self, monkeypatch):
+        draws = []
+
+        def never(graph, theorem):
+            draws.append(graph)
+            return bv_hypothesis(graph, theorem)._replace(satisfied=False), None
+
+        monkeypatch.setattr(identities, "_hypothesis", never)
+        with pytest.raises(InfeasibleParams, match="100 draws"):
+            generate_bv_family(5, Theorem.TYPE_C_MIXED, 2, 0)
+        assert len(draws) == 100
 
     def test_infeasible_params(self):
         with pytest.raises(InfeasibleParams):

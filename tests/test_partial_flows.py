@@ -318,15 +318,40 @@ class TestCountViaPartial:
         # unfolded (a_n < 0): the states (L, Y_n, Y_{n+1}) = (-1, 1, 0) and
         # (-1, 0, 1) share L = -1, so the L message counts both
         ("gc", (1, -1, -1, 1), 2, "Y_(n-1) = 0, L = -1"),
+        # R = -1 (10 partial flows) and R = -2 (20): the smallest (L, cut)
+        # of the fiber table is named
+        (generate_bv_family(4, Theorem.TYPE_A, 2, 0), (3, 2, -2, -3), 10, "Y_n = 1, R = -1"),
+        # the entry named has L = 0, so only R is negative, and the count
+        # takes every partial flow with R = -1, L = 0 or 1
+        ("k4", (1, 0, -1, 0), 2, "Y_n = 0, R = -1"),
     ])
     def test_require_full_names_what_is_negative(self, request, fixture, a, refused, why):
-        g = request.getfixturevalue(fixture)
+        g = request.getfixturevalue(fixture) if isinstance(fixture, str) else fixture
         with pytest.raises(NegativeExtension) as exc:
             count_via_partial(g, a, require_full=True)
         assert str(exc.value) == (
             f"{refused} partial flow(s) with {why} do not extend to G - (n-1, n); the "
             "literal aggregate need not be the count"
         )
+
+    @pytest.mark.parametrize("seed,a", [(0, (3, 2, -2, -3)), (5, (3, -1, -1, -1))])
+    def test_refusal_does_not_depend_on_state_order(self, monkeypatch, seed, a):
+        # the table is sorted by (L, cut), so the message names the same
+        # entry whatever order the DP stores its states in
+        g = generate_bv_family(4, Theorem.TYPE_A, 2, seed)
+
+        def refusal():
+            counting._fiber_states.cache_clear()
+            with pytest.raises(NegativeExtension) as exc:
+                count_via_partial(g, a, require_full=True)
+            return str(exc.value)
+
+        first = refusal()
+        frontier = counting._frontier
+        monkeypatch.setattr(
+            counting, "_frontier", lambda *args: dict(reversed(frontier(*args).items())))
+        assert refusal() == first
+        counting._fiber_states.cache_clear()
 
     def test_require_full_keeps_values_in_domain(self, k4, gc):
         assert count_via_partial(k4, (3, 1, 0, -4), require_full=True) == (30, 10)
@@ -335,6 +360,10 @@ class TestCountViaPartial:
     def test_boolean_netflow_rejected(self, k4):
         with pytest.raises(DimensionMismatch):
             enumerate_partial_flows(k4, (3, 1, False, -4))
+        with pytest.raises(DimensionMismatch):
+            count_via_partial(k4, (3, 1, False, -4))
+        with pytest.raises(DimensionMismatch):
+            count_via_partial(k4, (3, 1, -4))
 
     def test_matches_both_counts_on_corpus(self):
         for theorem in (Theorem.TYPE_A, Theorem.TYPE_C_NEGATIVE):

@@ -1,24 +1,27 @@
-"""Mutation gate for the exact counting core.
+"""Mutation gate for the exact counting core and its inputs.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [MODULE.FUNCTION ...]
 
-Makes one mutant at a time in ``kpflows.counting``'s ``count``,
-``_fiber_states``, ``_frontier`` and ``_walk``: a comparison flipped or
-made strict, an integer constant moved by +1 or -1, a ``continue`` guard
-deleted, ``min`` and ``max`` swapped, or one statement replaced by
-``pass``.  Mutants whose code equals
-the original's or an earlier mutant's are skipped.  Each one is written
-into a temporary copy of ``src/`` and ``tests/`` and checked with
+Makes one mutant at a time in each listed function (by default every
+function of ``TARGETS``: ``kpflows.counting``'s ``count``,
+``_fiber_states``, ``_frontier`` and ``_walk``, ``kpflows.graphs``'s
+``build_graph``, the one graph validator, and ``kpflows.partial_flows``'s
+``count_via_partial``): a comparison flipped or made strict, an integer
+constant moved by +1 or -1, a ``continue`` guard deleted, ``min`` and
+``max`` swapped, or one statement replaced by ``pass``.  Mutants whose code
+equals the original's or an earlier mutant's are skipped.  Each one is
+written into a temporary copy of ``src/`` and ``tests/`` and checked with
+the test files that cover its module (``TESTS``), e.g. for ``counting``
 
     pytest -x -q tests/test_counting.py tests/test_partial_flows.py
                  tests/test_identities.py
 
 there, one process at a time, with a fixed Hypothesis seed, a timeout per
-mutant (three times the unmutated run, plus 10 s) and a 1 GiB address-space
-limit, since a mutant can make the DP range over a huge supply.  A mutant
-is killed when pytest fails, survives when it passes, and times out
-otherwise; each one is printed with its verdict and code, then a table per
-function.  The checkout is only read.  Standard library only; not
+mutant (three times the module's unmutated run, plus 10 s) and a 1 GiB
+address-space limit, since a mutant can make the DP range over a huge
+supply.  A mutant is killed when pytest fails, survives when it passes, and
+times out otherwise; each one is printed with its verdict and code, then a
+table per function.  The checkout is only read.  Standard library only; not
 collected by pytest.
 """
 
@@ -36,9 +39,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src/kpflows/counting.py")
-TESTS = ["tests/test_counting.py", "tests/test_partial_flows.py", "tests/test_identities.py"]
-FUNCTIONS = ("count", "_fiber_states", "_frontier", "_walk")
+TESTS = {  # module -> the test files that cover it
+    "counting": ("tests/test_counting.py", "tests/test_partial_flows.py",
+                 "tests/test_identities.py"),
+    "graphs": ("tests/test_graphs.py", "tests/test_cli.py"),
+    "partial_flows": ("tests/test_partial_flows.py", "tests/test_cli.py"),
+}
+TARGETS = ("counting.count", "counting._fiber_states", "counting._frontier",
+           "counting._walk", "graphs.build_graph", "partial_flows.count_via_partial")
 FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
@@ -50,7 +58,7 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
-    raise SystemExit(f"no function {name} in {MODULE}")
+    raise SystemExit(f"no function {name} at the top level of the module")
 
 
 def _parent_list(func: ast.FunctionDef, stmt: ast.stmt) -> list:
@@ -106,9 +114,9 @@ def _mutate(source: str, name: str, site) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def _run(work: Path, timeout: float) -> tuple[str, float]:
+def _run(work: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, float]:
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", *TESTS]
+           "--hypothesis-seed=0", *tests]
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     proc = subprocess.Popen(
@@ -124,51 +132,66 @@ def _run(work: Path, timeout: float) -> tuple[str, float]:
     return ("survived" if code == 0 else "killed"), time.perf_counter() - start
 
 
-def main() -> int:
-    original = (ROOT / MODULE).read_text()
-    baseline = ast.unparse(ast.parse(original))
+def main(argv: list[str]) -> int:
+    targets = argv or list(TARGETS)
+    by_module: dict[str, list[str]] = {}
+    for target in targets:
+        module, _, name = target.partition(".")
+        if module not in TESTS or not name:
+            raise SystemExit(f"{target}: expected MODULE.FUNCTION, MODULE one of {sorted(TESTS)}")
+        by_module.setdefault(module, []).append(name)
+    tally: dict[str, dict[str, int]] = {}
+    survivors = []
     with tempfile.TemporaryDirectory(prefix="kpflows-mutants-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        target = work / MODULE
-        target.write_text(baseline)
-        verdict, seconds = _run(work, 600)
-        if verdict != "survived":
-            print(f"the unmutated tests do not pass ({verdict}); nothing to measure")
-            return 2
-        timeout = 3 * seconds + 10
-        print(f"unmutated run {seconds:.1f} s; timeout {timeout:.0f} s per mutant", flush=True)
-        seen = {baseline}
-        base_lines = baseline.splitlines()
-        tally: dict[str, dict[str, int]] = {}
-        survivors = []
-        for name in FUNCTIONS:
-            tally[name] = {"killed": 0, "survived": 0, "timeout": 0}
-            for site in _sites(_function(ast.parse(original), name)):
-                code = _mutate(original, name, site)
-                if code in seen:
-                    continue
-                seen.add(code)
-                target.write_text(code)
-                verdict, seconds = _run(work, timeout)
-                tally[name][verdict] += 1
-                # the first line that differs: the deleted one, or the mutant's
-                old, new = next((a, b) for a, b in zip(base_lines, code.splitlines()) if a != b)
-                shown = (old if site[1] in ("delete", "guard") else new).strip()
-                where = f"{name}:{site[3]} {site[4]}: {shown}"
-                print(f"{verdict:8} {where} ({seconds:.1f} s)", flush=True)
-                if verdict == "survived":
-                    survivors.append(where)
+        for module, names in by_module.items():
+            path = Path(f"src/kpflows/{module}.py")
+            original = (ROOT / path).read_text()
+            baseline = ast.unparse(ast.parse(original))
+            target, tests = work / path, TESTS[module]
+            target.write_text(baseline)
+            verdict, seconds = _run(work, tests, 600)
+            if verdict != "survived":
+                print(f"the unmutated tests of {module} do not pass ({verdict}); nothing to measure")
+                return 2
+            timeout = 3 * seconds + 10
+            print(f"{module}: unmutated run {seconds:.1f} s; timeout {timeout:.0f} s per mutant",
+                  flush=True)
+            seen = {baseline}
+            base_lines = baseline.splitlines()
+            for name in names:
+                label = f"{module}.{name}"
+                tally[label] = {"killed": 0, "survived": 0, "timeout": 0}
+                for site in _sites(_function(ast.parse(original), name)):
+                    code = _mutate(original, name, site)
+                    if code in seen:
+                        continue
+                    seen.add(code)
+                    target.write_text(code)
+                    verdict, seconds = _run(work, tests, timeout)
+                    tally[label][verdict] += 1
+                    # the first line that differs: the deleted one, or the mutant's
+                    old, new = next((a, b) for a, b in zip(base_lines, code.splitlines())
+                                    if a != b)
+                    shown = (old if site[1] in ("delete", "guard") else new).strip()
+                    where = f"{label}:{site[3]} {site[4]}: {shown}"
+                    print(f"{verdict:8} {where} ({seconds:.1f} s)", flush=True)
+                    if verdict == "survived":
+                        survivors.append(where)
+            target.write_text(baseline)
     print()
-    print(f"{'function':12} {'mutants':>7} {'killed':>7} {'survived':>8} {'timeout':>7}")
-    for name, t in tally.items():
-        print(f"{name:12} {sum(t.values()):7} {t['killed']:7} {t['survived']:8} {t['timeout']:7}")
+    width = max(len(label) for label in tally)
+    print(f"{'function':{width}} {'mutants':>7} {'killed':>7} {'survived':>8} {'timeout':>7}")
+    for label, t in tally.items():
+        print(f"{label:{width}} {sum(t.values()):7} {t['killed']:7} {t['survived']:8} "
+              f"{t['timeout']:7}")
     for s in survivors:
         print("survived:", s)
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
