@@ -59,15 +59,21 @@ from math import comb, inf
 
 from .errors import DimensionMismatch, LimitExceeded
 from .graphs import (
-    NEG, POS, Edge, SignedMultigraph, _is_int, _positive_target, build_graph, root_of_edge,
+    NEG, POS, Edge, GraphKind, SignedMultigraph, _is_int, build_graph, distinguished_edges,
+    netflow_y, root_of_edge,
 )
 
 FlowVector = tuple[int, ...]
 
 
-def _check_netflow(graph: SignedMultigraph, a: Sequence[int]) -> None:
+def _check_netflow(
+    graph: SignedMultigraph, a: Sequence[int]
+) -> tuple[bool, int | None]:
     """The package's one netflow validator: one integer per vertex, and a
-    boolean is not an integer here."""
+    boolean is not an integer here.  Returns whether ``a`` meets the kind's
+    coordinate-sum rule (zero total on type A; even, nonnegative total on
+    type C), without which no flow exists, and the positive total y that
+    flows carry (None on type A)."""
     if len(a) != graph.n_plus_1:
         raise DimensionMismatch(
             f"netflow has length {len(a)}, graph has {graph.n_plus_1} vertices"
@@ -75,6 +81,10 @@ def _check_netflow(graph: SignedMultigraph, a: Sequence[int]) -> None:
     for x in a:
         if not _is_int(x):
             raise DimensionMismatch(f"netflow entries must be integers, got {x!r}")
+    if graph.kind is GraphKind.TYPE_A:
+        return sum(a) == 0, None
+    y = netflow_y(a)
+    return y is not None and y >= 0, y
 
 
 def vertex_weights(n_plus_1: int) -> tuple[int, ...]:
@@ -262,8 +272,7 @@ def _walk(
 def brute_force_count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     """Ground-truth count by exhaustive enumeration; exponential time.  A
     netflow whose coordinate sum admits no flow counts 0 without a walk."""
-    _check_netflow(graph, a)
-    if not _positive_target(graph, a)[0]:
+    if not _check_netflow(graph, a)[0]:
         return 0
     return sum(1 for _ in _walk(graph, a, graph.n_plus_1))
 
@@ -279,10 +288,10 @@ def enumerate_flows(
     With ``require_complete=True`` a truncation raises :class:`LimitExceeded`
     instead of silently dropping flows.
     """
-    _check_netflow(graph, a)
+    feasible, _ = _check_netflow(graph, a)
     if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
-    if not _positive_target(graph, a)[0]:
+    if not feasible:
         return []
     walk = _walk(graph, a, graph.n_plus_1)
     # islice takes no stop above sys.maxsize, and no list holds more flows
@@ -532,7 +541,7 @@ def _fiber_states(
     n = head.n
     a_n = a[n - 1]
     positive_into_n = any(j == n and sign == POS for _, j, sign, _ in head.edges)
-    if a_n >= ((_positive_target(head, a)[1] or 0) if positive_into_n else 0):
+    if a_n >= (netflow_y(a) if positive_into_n else 0):
         head = build_graph(head.n_plus_1, head.kind, [
             (i, n + 1 if j == n else j, sign, m) for i, j, sign, m in head.edges])
     table: Counter[tuple[int, int]] = Counter()
@@ -561,11 +570,10 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     has ``Phi = 0``, which balances vertex n+1.  The counts of G and G -
     (n-1, n) of an identity check and the partial backend share one table.
     """
-    _check_netflow(graph, a)
-    if not _positive_target(graph, a)[0]:
+    if not _check_netflow(graph, a)[0]:
         return 0
     n, edges = graph.n, graph.edges
-    triangle = ((n - 1, n, NEG, 1), (n - 1, n + 1, NEG, 1), (n, n + 1, NEG, 1))
+    triangle = tuple(e + (1,) for e in distinguished_edges(n))
     tail = tuple(e for e in edges if e[0] >= n - 1)
     if tail not in (triangle, triangle[1:]):
         return _frontier(graph, a, graph.n_plus_1).get((), 0)

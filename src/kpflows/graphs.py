@@ -358,14 +358,3 @@ def netflow_y(a: Sequence[int]) -> int | None:
         return None
     return total // 2
 
-
-def _positive_target(
-    graph: SignedMultigraph, a: Sequence[int]
-) -> tuple[bool, int | None]:
-    """Whether ``a`` meets the kind's coordinate-sum constraint (zero total
-    on type A; even, nonnegative total on type C), without which no flow
-    exists, and the positive total y that flows carry (None on type A)."""
-    if graph.kind is GraphKind.TYPE_A:
-        return sum(a) == 0, None
-    y = netflow_y(a)
-    return y is not None and y >= 0, y

@@ -192,6 +192,9 @@ def report_json_dict(report: IdentityReport) -> dict:
     }
 
 
+_MAX_MULT = 1000  # _ratio_candidates(1000) lists 1,216,678 ratios, about 117 MB
+
+
 def _ratio_candidates(max_mult: int) -> list[tuple[int, int]]:
     """Exact ratios p/q >= 1 realizable as a row within max_mult: the anchor
     multiplicity q*t must fit, and the remaining mass t*(p-q) must split over
@@ -212,9 +215,10 @@ def generate_bv_family(
 
     A ratio c = p/q is drawn first; each row toward the last three vertices
     is then either left empty or solved to have exactly that ratio, with all
-    multiplicities at most ``max_mult``.  Extra edges (and, on type C, loops
-    and positive edges where the variant permits) are sprinkled among the
-    first n-2 vertices.  Each draw lists its edges and :func:`build_graph`
+    multiplicities at most ``max_mult``, which must lie in 1..1000 (the
+    ratios to draw from number about ``3 * max_mult**2``).  Extra edges
+    (and, on type C, loops and positive edges where the variant permits) are
+    sprinkled among the first n-2 vertices.  Each draw lists its edges and :func:`build_graph`
     merges them.  Resamples until the hypothesis holds, at most 100 draws,
     then raises :class:`InfeasibleParams`; no generation with n+1 = 3..7 and
     ``max_mult`` 1..3 has been seen to need more than 8.
@@ -225,6 +229,8 @@ def generate_bv_family(
         raise InfeasibleParams("need at least 3 vertices")
     if max_mult < 1:
         raise InfeasibleParams("max_mult must be at least 1")
+    if max_mult > _MAX_MULT:
+        raise InfeasibleParams(f"max_mult must be at most {_MAX_MULT}")
 
     rng = random.Random(seed)
     n = n_plus_1 - 1

@@ -60,7 +60,6 @@ from .graphs import (
     SignedMultigraph,
     Theorem,
     _is_int,
-    _positive_target,
     bv_hypothesis,
     delete_edges,
     distinguished_edges,
@@ -137,7 +136,7 @@ def _check_partial_flow(
     """Raise unless ``a`` is a netflow for G and ``pf`` a partial flow for
     (graph, a) with its own statistics; one pass over H's slots.  Returns
     the fiber's bounds ``L = Y_{n-1}+a_{n-1}`` and ``R = Y_n+a_n``."""
-    _check_netflow(graph, a)
+    feasible, y = _check_netflow(graph, a)
     h = _fibration(graph)
     if len(pf.values) != h.num_edges:
         raise DimensionMismatch(
@@ -151,7 +150,6 @@ def _check_partial_flow(
             f"partial flow has Y = {own.inflows}, y_pos = {own.y_pos}, not "
             f"{pf.inflows}, {pf.y_pos}"
         )
-    feasible, y = _positive_target(graph, a)
     if head != list(a[:-3]) or not feasible or own.y_pos != (y or 0):
         raise InvalidFlow("partial flow does not match the netflow")
     return own.inflows[0] + a[-3], own.inflows[1] + a[-2]
@@ -166,9 +164,8 @@ def enumerate_partial_flows(
     type A; odd or negative total in type C) admit no flows at all, and the
     list is empty for them.
     """
-    _check_netflow(graph, a)
+    feasible, y_target = _check_netflow(graph, a)
     h = _fibration(graph)
-    feasible, y_target = _positive_target(graph, a)
     if not feasible:
         return []
     walk = _walk(h, a, graph.n_plus_1 - 3, y_target)
@@ -276,9 +273,8 @@ def count_via_partial(
     negative, L with ``Y_{n-1}``, R with ``Y_n`` or both, and counts every
     partial flow with those values.
     """
-    _check_netflow(graph, a)
+    feasible, _ = _check_netflow(graph, a)
     h = _fibration(graph)
-    feasible, _ = _positive_target(graph, a)
     if not feasible:
         return PartialCount(total=0, num_partial=0)
     table = _fiber_states(h, tuple(a))

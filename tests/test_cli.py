@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from kpflows import bv_hypothesis, catalan_graph, catalan_netflow, catalan_product, count
+from kpflows import (
+    bv_hypothesis, catalan_graph, catalan_netflow, catalan_number, catalan_product, count,
+)
 from kpflows.cli import run_cli
 import kpflows.cli as cli
 import kpflows.identities as identities
@@ -72,7 +74,7 @@ class TestCount:
         code, out, _ = _run(capsys, ["count", "--graph", g3_path, "--a", "[1,0,-1]"])
         assert code == 0 and out == "2\n"
 
-    def test_backends_agree(self, capsys, k4_path):
+    def test_backends_agree(self, capsys, tmp_path, k4_path, gc):
         values = {}
         for backend in ("dp", "brute", "partial"):
             code, out, _ = _run(
@@ -82,6 +84,14 @@ class TestCount:
             assert code == 0
             values[backend] = out.strip()
         assert values == {"dp": "30", "brute": "30", "partial": "30"}
+        # an odd coordinate sum admits no type C flow: answered without the
+        # DP, which would sweep a supply of 10**20
+        gc_path = tmp_path / "gc.json"
+        gc_path.write_text(json.dumps(gc.to_json_dict()))
+        for backend in ("dp", "partial"):
+            code, out, err = _run(capsys, ["count", "--graph", str(gc_path), "--a",
+                                           f"[{10**20 + 1},0,0,0]", "--backend", backend])
+            assert (code, out, err) == (0, "0\n", "")
 
     def test_netflow_from_file(self, capsys, tmp_path, g3_path):
         a_path = tmp_path / "a.json"
@@ -284,6 +294,7 @@ class TestInputErrors:
         ["--campaign", "2", "--a-max", "-1"],
         ["--campaign", "2", "--netflows-per-seed", "0"],
         ["--campaign", "2", "--netflows-per-seed", "-3"],
+        ["--campaign", "2", "--max-mult", "1001"],
     ])
     def test_campaign_flag_out_of_range(self, capsys, flags):
         code, out, err = _run(capsys, ["verify", "--theorem", "a"] + flags)
@@ -298,6 +309,7 @@ class TestInputErrors:
         ("verify_without_graph", "verify needs --graph (or --campaign)"),
         ("generate_two_vertices", "need at least 3 vertices"),
         ("generate_max_mult_zero", "max_mult must be at least 1"),
+        ("generate_max_mult_huge", "max_mult must be at most 1000"),
     ])
     def test_input_error_paths(self, capsys, tmp_path, g3_path, case, expected):
         edges_dict = tmp_path / "edges_dict.json"
@@ -316,6 +328,8 @@ class TestInputErrors:
             "generate_two_vertices": ["generate", "--n-plus-1", "2", "--theorem", "a"],
             "generate_max_mult_zero": [
                 "generate", "--n-plus-1", "4", "--theorem", "c32", "--max-mult", "0"],
+            "generate_max_mult_huge": [
+                "generate", "--n-plus-1", "5", "--theorem", "a", "--max-mult", str(10**30)],
         }[case]
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
@@ -538,6 +552,9 @@ class TestCatalan:
     def test_bad_n(self, capsys):
         code, _, _ = _run(capsys, ["catalan", "--n", "0"])
         assert code == 2
+        for build, n in ((catalan_number, -1), (catalan_graph, 0), (catalan_netflow, 0)):
+            with pytest.raises(ValueError, match=">= "):
+                build(n)
 
 
 class TestStdoutNeverContradictsExitCode:

@@ -586,6 +586,23 @@ class TestOracleGate:
         assert enumerate_flows(g, a) == []
         assert enumerate_flows(g, a, limit=3) == []
 
+    @pytest.mark.parametrize("kind,a", [
+        ("A", (10**20, 0, 0, 0)),  # nonzero sum
+        ("C", (10**20 + 1, 0, 0, 0)),  # odd sum
+        ("C", (10**20, 0, 0, -10**20 - 2)),  # negative sum
+    ])
+    def test_dp_not_entered(self, monkeypatch, k4, gc, kind, a):
+        # ungated, the DP sweeps a supply of 10**20 and runs out of memory
+        def no_dp(*args):
+            raise AssertionError("DP entered")
+
+        monkeypatch.setattr(counting, "_frontier", no_dp)
+        counting._fiber_states.cache_clear()
+        g = k4 if kind == "A" else gc
+        assert count(g, a) == 0
+        assert count_via_partial(g, a) == (0, 0)
+        assert count_via_partial(g, a, require_full=True) == (0, 0)
+
     def test_ungated_walk_finds_nothing(self):
         # the gate restates a rule the walk obeys on its own
         rng = random.Random(4242)

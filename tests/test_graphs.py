@@ -280,6 +280,8 @@ class TestNetflowChecks:
         assert necessary_feasible_a((1, 2, 3, -6))
         assert not necessary_feasible_a((1, 2, 3, -5))
         assert necessary_feasible_a((0,))
+        with pytest.raises(ValueError, match="length >= 1"):
+            necessary_feasible_a(())
 
     def test_netflow_y(self):
         assert netflow_y((4, 0, 0, -2)) == 1

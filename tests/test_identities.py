@@ -269,6 +269,12 @@ def fat_gc_mixed(gc_mixed):
     return build_graph(4, "C", [(i, j, s, m) for i, j, s, m in gc_mixed.edges] + [(2, 3, "-", 1)])
 
 
+@pytest.fixture
+def g3_c():
+    """The negative triangle as a type C graph."""
+    return build_graph(3, "C", [(1, 2, "-", 1), (1, 3, "-", 1), (2, 3, "-", 1)])
+
+
 def _json(theorem, satisfied, skipped, reason, c, y, lhs=None, rhs=None, mult=None,
           verdict=None):
     return {
@@ -316,6 +322,16 @@ VERIFIER_PATHS = [
      _json("c32", True, False, None, C3, 1, "7", "5", (1, 1), False), ()),
     ("gc", "c31", (4, 0, 0, -2), _json("c31", True, False, None, C3, 1, "10", "6", (5, 3),
                                        True), ()),
+    # a_n alone negative is annotated too
+    ("k4", "a", (3, 1, -1, -3), _json("a", True, False, None, C3, None, "26", "6", (3, 1),
+                                      False), NEG_NOTE),
+    # the mixed bound is min(a_{n-1}+1, a_n+1) with a_n the smaller one
+    ("gc_mixed", "c32", (1, 3, 0, 0),
+     _json("c32", True, True, "y=2 exceeds min(a_n-1+1, a_n+1)=1", C3, 2), ()),
+    # no ratio constrains a three-vertex graph: the multiplier is a_{n-1}+1,
+    # y does not enter
+    ("g3_c", "c31", (2, 0, 0),
+     _json("c31", True, False, None, "unconstrained", 1, "0", "0", (3, 1), True), ()),
 ]
 
 

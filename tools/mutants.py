@@ -4,11 +4,12 @@
 
 Makes one mutant at a time in each listed function (by default every
 function of ``TARGETS``: ``kpflows.counting``'s ``count``,
-``_fiber_states``, ``_frontier`` and ``_walk``, ``kpflows.graphs``'s
-``build_graph``, the one graph validator, and ``kpflows.partial_flows``'s
-``count_via_partial``): a comparison flipped or made strict, an integer
-constant moved by +1 or -1, a ``continue`` guard deleted, ``min`` and
-``max`` swapped, or one statement replaced by ``pass``.  Mutants whose code
+``_fiber_states``, ``_frontier``, ``_walk`` and ``_check_netflow``, the one
+netflow validator, ``kpflows.graphs``'s ``build_graph``, the one graph
+validator, ``kpflows.partial_flows``'s ``count_via_partial`` and
+``kpflows.identities``'s ``_verify``): a comparison flipped or made strict,
+an integer constant moved by +1 or -1, a ``continue`` guard deleted,
+``min`` and ``max`` swapped, or one statement replaced by ``pass``.  Mutants whose code
 equals the original's or an earlier mutant's are skipped.  Each one is
 written into a temporary copy of ``src/`` and ``tests/`` and checked with
 the test files that cover its module (``TESTS``), e.g. for ``counting``
@@ -43,10 +44,12 @@ TESTS = {  # module -> the test files that cover it
     "counting": ("tests/test_counting.py", "tests/test_partial_flows.py",
                  "tests/test_identities.py"),
     "graphs": ("tests/test_graphs.py", "tests/test_cli.py"),
+    "identities": ("tests/test_identities.py", "tests/test_cli.py"),
     "partial_flows": ("tests/test_partial_flows.py", "tests/test_cli.py"),
 }
 TARGETS = ("counting.count", "counting._fiber_states", "counting._frontier",
-           "counting._walk", "graphs.build_graph", "partial_flows.count_via_partial")
+           "counting._walk", "counting._check_netflow", "graphs.build_graph",
+           "partial_flows.count_via_partial", "identities._verify")
 FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
