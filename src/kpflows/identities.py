@@ -192,7 +192,7 @@ def report_json_dict(report: IdentityReport) -> dict:
     }
 
 
-_MAX_MULT = 1000  # _ratio_candidates(1000) lists 1,216,678 ratios, about 117 MB
+_MAX_MULT = 1000  # _ratio_candidates(1000) lists 1,216,678 ratios, over 100 MB
 
 
 def _ratio_candidates(max_mult: int) -> list[tuple[int, int]]:
@@ -218,10 +218,10 @@ def generate_bv_family(
     multiplicities at most ``max_mult``, which must lie in 1..1000 (the
     ratios to draw from number about ``3 * max_mult**2``).  Extra edges
     (and, on type C, loops and positive edges where the variant permits) are
-    sprinkled among the first n-2 vertices.  Each draw lists its edges and :func:`build_graph`
-    merges them.  Resamples until the hypothesis holds, at most 100 draws,
-    then raises :class:`InfeasibleParams`; no generation with n+1 = 3..7 and
-    ``max_mult`` 1..3 has been seen to need more than 8.
+    sprinkled among the first n-2 vertices.  Each draw lists its edges and
+    :func:`build_graph` merges them.  Resamples until the hypothesis holds,
+    at most 100 draws, then raises :class:`InfeasibleParams`; no generation
+    with n+1 = 3..7 and ``max_mult`` 1..3 has been seen to need more than 8.
     """
     theorem = Theorem(theorem)
     kind = theorem.kind

@@ -9,10 +9,11 @@ netflow validator, ``kpflows.graphs``'s ``build_graph``, the one graph
 validator, ``kpflows.partial_flows``'s ``count_via_partial`` and
 ``kpflows.identities``'s ``_verify``): a comparison flipped or made strict,
 an integer constant moved by +1 or -1, a ``continue`` guard deleted,
-``min`` and ``max`` swapped, or one statement replaced by ``pass``.  Mutants whose code
-equals the original's or an earlier mutant's are skipped.  Each one is
-written into a temporary copy of ``src/`` and ``tests/`` and checked with
-the test files that cover its module (``TESTS``), e.g. for ``counting``
+``min`` and ``max`` swapped, or one statement replaced by ``pass``.
+Mutants whose code equals the original's or an earlier mutant's are
+skipped.  Each one is written into a temporary copy of ``src/`` and
+``tests/`` and checked with the test files that cover its module
+(``TESTS``), e.g. for ``counting``
 
     pytest -x -q tests/test_counting.py tests/test_partial_flows.py
                  tests/test_identities.py
