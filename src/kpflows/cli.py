@@ -34,8 +34,8 @@ from .partial_flows import count_via_partial, enumerate_partial_flows, materiali
 from .catalan import catalan_graph, catalan_netflow, catalan_product
 
 
-class _InputError(Exception):
-    pass
+class _InputError(KPFlowsError):
+    """A bad flag value, file or JSON text: exit 2, like a library error."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,9 +330,6 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HypothesisUnmet as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ G's edge copies.  Two independent algorithms are provided:
   enumeration by :func:`_walk`, which also lists the partial flows of
   :mod:`kpflows.partial_flows`.  It sets edge copies one at a time in
   canonical order, smallest value first, keeping its position in per-slot
-  arrays, not on the call stack.  Four prunes, each cutting only branches
+  arrays, not on the call stack.  Five prunes, each cutting only branches
   that hold no flow, so the lexicographic order is unchanged:
 
   - *weighted budget*: under ``w_i = n+2-i`` every root has weight >= 1, so
@@ -23,7 +23,12 @@ G's edge copies.  Two independent algorithms are provided:
   - *settle rule*: every residual must end at 0, so once no later slot can
     lower coordinate k, ``residual_k <= 0``, and once none can raise it,
     ``residual_k >= 0``; a coordinate's last slot leaves it at 0, and a
-    nonzero supply that no slot can cancel is dead before the walk starts.
+    nonzero supply that no slot can cancel is dead before the walk starts;
+  - *positive total*: positive roots and loops sum to 2 and negative roots
+    to 0, so every flow carries ``y = sum(a)/2`` on positive slots, and a
+    branch that has placed more is dead; on H, whose last three coordinates
+    are free, the pin is what defines a partial flow, and a leaf short of y
+    is none.
 * :func:`count` — a bottom-up dynamic program over edge groups (vertices in
   increasing label order, each vertex's out-groups in canonical order).  Its
   frontier of residual states merges the partial assignments that agree on
@@ -66,14 +71,11 @@ from .graphs import (
 FlowVector = tuple[int, ...]
 
 
-def _check_netflow(
-    graph: SignedMultigraph, a: Sequence[int]
-) -> tuple[bool, int | None]:
+def _check_netflow(graph: SignedMultigraph, a: Sequence[int]) -> bool:
     """The package's one netflow validator: one integer per vertex, and a
     boolean is not an integer here.  Returns whether ``a`` meets the kind's
     coordinate-sum rule (zero total on type A; even, nonnegative total on
-    type C), without which no flow exists, and the positive total y that
-    flows carry (None on type A)."""
+    type C), without which no flow exists."""
     if len(a) != graph.n_plus_1:
         raise DimensionMismatch(
             f"netflow has length {len(a)}, graph has {graph.n_plus_1} vertices"
@@ -82,9 +84,9 @@ def _check_netflow(
         if not _is_int(x):
             raise DimensionMismatch(f"netflow entries must be integers, got {x!r}")
     if graph.kind is GraphKind.TYPE_A:
-        return sum(a) == 0, None
+        return sum(a) == 0
     y = netflow_y(a)
-    return y is not None and y >= 0, y
+    return y is not None and y >= 0
 
 
 def vertex_weights(n_plus_1: int) -> tuple[int, ...]:
@@ -170,21 +172,19 @@ def check_flow(
     return by_vertex
 
 
-def _walk(
-    graph: SignedMultigraph,
-    a: Sequence[int],
-    m: int,
-    y_target: int | None = None,
-) -> Iterator[FlowVector]:
+def _walk(graph: SignedMultigraph, a: Sequence[int], m: int) -> Iterator[FlowVector]:
     """Nonnegative slot vectors whose root combination matches ``a`` on
-    coordinates ``1..m``, in lexicographic order.
+    coordinates ``1..m`` and whose total flow on positive slots (loops
+    included) is ``y = sum(a) // 2``, in lexicographic order.
 
-    With ``m = n+1`` these are the flows; with ``m = n-2`` on H they are the
-    partial flows, and ``y_target``, if given, pins their total flow on
-    positive slots (loops included).  Every slot's smaller endpoint must lie
-    in ``1..m``.  A depth-first walk over edge copies in canonical order,
-    kept on per-slot arrays instead of the call stack, with the four prunes
-    of the module docstring.
+    With ``m = n+1`` these are the flows, and the pin holds for every one of
+    them, since positive roots and loops sum to 2 and negative ones to 0;
+    with ``m = n-2`` on H they are the partial flows, which the pin defines.
+    Callers gate the coordinate sum first (:func:`_check_netflow`), so y is
+    0 on type A, which has no positive slot.  Every slot's smaller endpoint
+    must lie in ``1..m``.  A depth-first walk over edge copies in canonical
+    order, kept on per-slot arrays instead of the call stack, with the five
+    prunes of the module docstring.
     """
     n1 = graph.n_plus_1
     slots, roots = _slot_table(graph)
@@ -211,17 +211,18 @@ def _walk(
     if any(x > 0 and k not in lowered or x < 0 and k not in raised
            for k, x in enumerate(a[:m])):
         return
-    pinned = [y_target is not None and sign == POS for _, _, sign in slots]
+    pinned = [sign == POS for _, _, sign in slots]
+    y = sum(a) // 2
     residual = list(a[:m])
     buf = [0] * n_slots
-    pos_used = 0  # flow on pinned slots so far, at most y_target
+    pos_used = 0  # flow on pinned slots so far, at most y
     t = 0
     while True:
         # slot t is entered with buf[t] = 0
         if (g := settle[t]) and not g[1] <= residual[g[0]] <= g[2]:
             pass  # dead: no later slot can bring that target to 0
         elif t == n_slots:
-            if y_target is None or pos_used == y_target:
+            if pos_used == y:
                 yield tuple(buf)
         elif not forced[t]:
             t += 1
@@ -231,7 +232,7 @@ def _walk(
             if (
                 not r
                 and v * weight[t] <= left
-                and not (pinned[t] and pos_used + v > y_target)
+                and not (pinned[t] and pos_used + v > y)
             ):
                 buf[t] = v
                 for k, cf in entries[t]:
@@ -248,7 +249,7 @@ def _walk(
                 not forced[t]
                 and residual[src[t]] >= step[t]
                 and weight[t] <= left
-                and not (pinned[t] and pos_used == y_target)
+                and not (pinned[t] and pos_used == y)
             ):
                 buf[t] += 1
                 for k, cf in entries[t]:
@@ -272,7 +273,7 @@ def _walk(
 def brute_force_count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     """Ground-truth count by exhaustive enumeration; exponential time.  A
     netflow whose coordinate sum admits no flow counts 0 without a walk."""
-    if not _check_netflow(graph, a)[0]:
+    if not _check_netflow(graph, a):
         return 0
     return sum(1 for _ in _walk(graph, a, graph.n_plus_1))
 
@@ -288,7 +289,7 @@ def enumerate_flows(
     With ``require_complete=True`` a truncation raises :class:`LimitExceeded`
     instead of silently dropping flows.
     """
-    feasible, _ = _check_netflow(graph, a)
+    feasible = _check_netflow(graph, a)
     if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
     if not feasible:
@@ -570,7 +571,7 @@ def count(graph: SignedMultigraph, a: Sequence[int]) -> int:
     has ``Phi = 0``, which balances vertex n+1.  The counts of G and G -
     (n-1, n) of an identity check and the partial backend share one table.
     """
-    if not _check_netflow(graph, a)[0]:
+    if not _check_netflow(graph, a):
         return 0
     n, edges = graph.n, graph.edges
     triangle = tuple(e + (1,) for e in distinguished_edges(n))

@@ -136,7 +136,7 @@ def _check_partial_flow(
     """Raise unless ``a`` is a netflow for G and ``pf`` a partial flow for
     (graph, a) with its own statistics; one pass over H's slots.  Returns
     the fiber's bounds ``L = Y_{n-1}+a_{n-1}`` and ``R = Y_n+a_n``."""
-    feasible, y = _check_netflow(graph, a)
+    feasible = _check_netflow(graph, a)
     h = _fibration(graph)
     if len(pf.values) != h.num_edges:
         raise DimensionMismatch(
@@ -150,7 +150,7 @@ def _check_partial_flow(
             f"partial flow has Y = {own.inflows}, y_pos = {own.y_pos}, not "
             f"{pf.inflows}, {pf.y_pos}"
         )
-    if head != list(a[:-3]) or not feasible or own.y_pos != (y or 0):
+    if head != list(a[:-3]) or not feasible or 2 * own.y_pos != sum(a):
         raise InvalidFlow("partial flow does not match the netflow")
     return own.inflows[0] + a[-3], own.inflows[1] + a[-2]
 
@@ -158,17 +158,19 @@ def _check_partial_flow(
 def enumerate_partial_flows(
     graph: SignedMultigraph, a: Sequence[int]
 ) -> list[PartialFlow]:
-    """All partial flows for (graph, a), lexicographic in the H-flow.
+    """All partial flows for (graph, a), lexicographic in the H-flow: the
+    walk of :mod:`kpflows.counting` on H, constrained on coordinates 1..n-2
+    and pinned to the positive total ``y = sum(a)/2`` (0 on type A).
 
     Netflows violating the kind's coordinate-sum constraint (nonzero total in
     type A; odd or negative total in type C) admit no flows at all, and the
     list is empty for them.
     """
-    feasible, y_target = _check_netflow(graph, a)
+    feasible = _check_netflow(graph, a)
     h = _fibration(graph)
     if not feasible:
         return []
-    walk = _walk(h, a, graph.n_plus_1 - 3, y_target)
+    walk = _walk(h, a, graph.n_plus_1 - 3)
     return [_partial_flow(h, values)[0] for values in walk]
 
 
@@ -273,7 +275,7 @@ def count_via_partial(
     negative, L with ``Y_{n-1}``, R with ``Y_n`` or both, and counts every
     partial flow with those values.
     """
-    feasible, _ = _check_netflow(graph, a)
+    feasible = _check_netflow(graph, a)
     h = _fibration(graph)
     if not feasible:
         return PartialCount(total=0, num_partial=0)

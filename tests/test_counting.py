@@ -709,6 +709,32 @@ class TestWeightedBudget:
         assert flows == [] and lines < 20
 
 
+class TestPositiveTotal:
+    """Every type C flow carries ``y = sum(a)/2`` on positive slots, so the
+    walk cuts a branch as soon as it has placed more."""
+
+    def test_zero_total_without_flows(self):
+        # y = 0: no positive slot may take a unit; about 140 walk lines,
+        # where a walk that places positive flow first runs 979
+        g = build_graph(4, "C", [(1, 3, "+", 2), (1, 4, "+", 1), (2, 3, "-", 2),
+                                 (3, 4, "-", 1)])
+        a = (1, 3, 2, -6)
+        flows, lines = _walk_lines(g, a)
+        assert flows == [] and lines < 400
+
+    def test_flows_with_loops_and_positive_edges(self):
+        # y = 0 with 4 flows: about 1,460 walk lines, against 3,320 unpinned
+        g = build_graph(4, "C", [
+            (1, 2, "-", 1), (1, 2, "+", 1), (1, 4, "-", 1), (1, 4, "+", 2), (2, 3, "+", 1),
+            (2, 4, "-", 1), (3, 4, "-", 1), (4, 4, "+", 2),
+        ])
+        a = (3, 1, 2, -6)
+        flows, lines = _walk_lines(g, a)
+        assert len(flows) == count(g, a) == 4
+        assert all(check_flow(g, f, a) for f in flows)
+        assert lines < 2000
+
+
 class TestOracleAgreement:
     def test_seeded_corpus(self):
         rng = random.Random(20260808)

@@ -7,9 +7,10 @@ function of ``TARGETS``: ``kpflows.counting``'s ``count``,
 ``_fiber_states``, ``_frontier``, ``_walk`` and ``_check_netflow``, the one
 netflow validator, ``kpflows.graphs``'s ``build_graph``, the one graph
 validator, ``kpflows.partial_flows``'s ``count_via_partial`` and
-``kpflows.identities``'s ``_verify``): a comparison flipped or made strict,
-an integer constant moved by +1 or -1, a ``continue`` guard deleted,
-``min`` and ``max`` swapped, or one statement replaced by ``pass``.
+``_check_partial_flow``, and ``kpflows.identities``'s ``_verify``): a
+comparison flipped or made strict, an integer constant moved by +1 or -1, a
+``continue`` guard deleted, ``min`` and ``max`` swapped, or one statement
+replaced by ``pass``.
 Mutants whose code equals the original's or an earlier mutant's are
 skipped.  Each one is written into a temporary copy of ``src/`` and
 ``tests/`` and checked with the test files that cover its module
@@ -50,7 +51,8 @@ TESTS = {  # module -> the test files that cover it
 }
 TARGETS = ("counting.count", "counting._fiber_states", "counting._frontier",
            "counting._walk", "counting._check_netflow", "graphs.build_graph",
-           "partial_flows.count_via_partial", "identities._verify")
+           "partial_flows.count_via_partial", "partial_flows._check_partial_flow",
+           "identities._verify")
 FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
