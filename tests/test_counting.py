@@ -693,9 +693,9 @@ class TestWeightedBudget:
     def test_budget_cuts_inside_the_walk(self):
         # w . a = 39; vertex 1 must send its 3 units along (1,3,+), of
         # weight 8 each, and vertex 2's 5 units along (2,5,+) weigh 25 more,
-        # so every branch dies at vertex 2: about 250 walk lines, where
-        # without the budget's updates the walk drains vertices 2..4 in
-        # every way before the sink dies (over 2,600 lines)
+        # so the budget ends every branch at vertex 2; but y = 1 ends them at
+        # vertex 1 first (about 120 walk lines, with or without the budget),
+        # so the budget's own cut is checked on type A below
         a = (3, 5, 4, 2, -12)
         assert count(self.G, a) == brute_force_count(self.G, a) == 0
         flows, lines = _walk_lines(self.G, a)
@@ -707,6 +707,19 @@ class TestWeightedBudget:
         # against over 110)
         flows, lines = _walk_lines(self.G, a)
         assert flows == [] and lines < 20
+
+    def test_budget_cuts_a_type_a_walk(self):
+        # no positive total to pin: vertex 3 needs 15 units and vertex 2
+        # holds 3, so vertex 1 must send all 12 along (1,3); w . residual
+        # goes negative once it sends fewer than 9 there, before vertex 2's
+        # 56 splits over the copies of (2,3).  About 10,400 walk lines;
+        # without either update of the budget, over 21,000
+        g = build_graph(5, "A", [(1, 3, "-", 1), (1, 4, "-", 1), (2, 3, "-", 6),
+                                 (3, 5, "-", 1), (4, 5, "-", 1)])
+        a = (12, 3, -15, 0, 0)
+        flows, lines = _walk_lines(g, a)
+        assert len(flows) == count(g, a) == math.comb(8, 5)
+        assert lines < 15000
 
 
 class TestPositiveTotal:
