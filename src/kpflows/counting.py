@@ -8,11 +8,9 @@ G's edge copies.  Two independent algorithms are provided:
   enumeration by :func:`_walk`, which also lists the partial flows of
   :mod:`kpflows.partial_flows`.  It sets edge copies one at a time in
   canonical order, smallest value first, keeping its position in per-slot
-  arrays, not on the call stack.  Five prunes, each cutting only branches
+  arrays, not on the call stack.  Four prunes, each cutting only branches
   that hold no flow, so the lexicographic order is unchanged:
 
-  - *weighted budget*: under ``w_i = n+2-i`` every root has weight >= 1, so
-    any flow b satisfies ``sum(b) <= w . a``;
   - *supply bound*: once every slot with smaller endpoint below i is set,
     coordinate i holds its supply s_i, and every later slot touching i is
     out of i with a positive coefficient cf, so it can only lower s_i to its
@@ -183,18 +181,12 @@ def _walk(graph: SignedMultigraph, a: Sequence[int], m: int) -> Iterator[FlowVec
     Callers gate the coordinate sum first (:func:`_check_netflow`), so y is
     0 on type A, which has no positive slot.  Every slot's smaller endpoint
     must lie in ``1..m``.  A depth-first walk over edge copies in canonical
-    order, kept on per-slot arrays instead of the call stack, with the five
+    order, kept on per-slot arrays instead of the call stack, with the four
     prunes of the module docstring.
     """
-    n1 = graph.n_plus_1
     slots, roots = _slot_table(graph)
     n_slots = len(slots)
-    u = [w if k < m else 0 for k, w in enumerate(vertex_weights(n1))]
-    left = sum(u[k] * a[k] for k in range(m))  # the budget, less what is set
-    if left < 0:
-        return
     entries = [tuple((k, cf) for k, cf in r if k < m) for r in roots]
-    weight = [sum(cf * u[k] for k, cf in r) for r in roots]
     src = [i - 1 for i, _, _ in slots]
     step = [r[0][1] for r in roots]  # the coefficient at the source, its first entry
     forced = [s != nxt for s, nxt in zip(src, src[1:] + [-1])]
@@ -229,41 +221,29 @@ def _walk(graph: SignedMultigraph, a: Sequence[int], m: int) -> Iterator[FlowVec
             continue
         else:
             v, r = divmod(residual[src[t]], step[t])
-            if (
-                not r
-                and v * weight[t] <= left
-                and not (pinned[t] and pos_used + v > y)
-            ):
+            if not r and not (pinned[t] and pos_used + v > y):
                 buf[t] = v
                 for k, cf in entries[t]:
                     residual[k] -= cf * v
                 if pinned[t]:
                     pos_used += v
-                left -= v * weight[t]
                 t += 1
                 continue
         # backtrack to the deepest slot whose value can still grow
         t -= 1
         while t >= 0:
-            if (
-                not forced[t]
-                and residual[src[t]] >= step[t]
-                and weight[t] <= left
-                and not (pinned[t] and pos_used == y)
-            ):
+            if not forced[t] and residual[src[t]] >= step[t] and not (pinned[t] and pos_used == y):
                 buf[t] += 1
                 for k, cf in entries[t]:
                     residual[k] -= cf
                 if pinned[t]:
                     pos_used += 1
-                left -= weight[t]
                 t += 1
                 break
             for k, cf in entries[t]:
                 residual[k] += cf * buf[t]
             if pinned[t]:
                 pos_used -= buf[t]
-            left += buf[t] * weight[t]
             buf[t] = 0
             t -= 1
         if t < 0:

@@ -193,6 +193,7 @@ def report_json_dict(report: IdentityReport) -> dict:
 
 
 _MAX_MULT = 1000  # _ratio_candidates(1000) lists 1,216,678 ratios, over 100 MB
+_MAX_N_PLUS_1 = 100  # about 0.2 s and 20 MB; the hypothesis check grows about as n**3
 
 
 def _ratio_candidates(max_mult: int) -> list[tuple[int, int]]:
@@ -216,17 +217,20 @@ def generate_bv_family(
     A ratio c = p/q is drawn first; each row toward the last three vertices
     is then either left empty or solved to have exactly that ratio, with all
     multiplicities at most ``max_mult``, which must lie in 1..1000 (the
-    ratios to draw from number about ``3 * max_mult**2``).  Extra edges
-    (and, on type C, loops and positive edges where the variant permits) are
-    sprinkled among the first n-2 vertices.  Each draw lists its edges and
-    :func:`build_graph` merges them.  Resamples until the hypothesis holds,
-    at most 100 draws, then raises :class:`InfeasibleParams`; no generation
-    with n+1 = 3..7 and ``max_mult`` 1..3 has been seen to need more than 8.
+    ratios to draw from number about ``3 * max_mult**2``); ``n_plus_1`` must
+    lie in 3..100.  Extra edges (and, on type C, loops and positive edges
+    where the variant permits) are sprinkled among the first n-2 vertices.
+    Each draw lists its edges and :func:`build_graph` merges them.
+    Resamples until the hypothesis holds, at most 100 draws, then raises
+    :class:`InfeasibleParams`; no generation with n+1 = 3..7 and
+    ``max_mult`` 1..3 has been seen to need more than 8.
     """
     theorem = Theorem(theorem)
     kind = theorem.kind
     if n_plus_1 < 3:
         raise InfeasibleParams("need at least 3 vertices")
+    if n_plus_1 > _MAX_N_PLUS_1:
+        raise InfeasibleParams(f"n_plus_1 must be at most {_MAX_N_PLUS_1}")
     if max_mult < 1:
         raise InfeasibleParams("max_mult must be at least 1")
     if max_mult > _MAX_MULT:

@@ -295,6 +295,7 @@ class TestInputErrors:
         ["--campaign", "2", "--netflows-per-seed", "0"],
         ["--campaign", "2", "--netflows-per-seed", "-3"],
         ["--campaign", "2", "--max-mult", "1001"],
+        ["--campaign", "2", "--n-plus-1", "101"],
     ])
     def test_campaign_flag_out_of_range(self, capsys, flags):
         code, out, err = _run(capsys, ["verify", "--theorem", "a"] + flags)
@@ -310,6 +311,7 @@ class TestInputErrors:
         ("generate_two_vertices", "need at least 3 vertices"),
         ("generate_max_mult_zero", "max_mult must be at least 1"),
         ("generate_max_mult_huge", "max_mult must be at most 1000"),
+        ("generate_n_plus_1_huge", "n_plus_1 must be at most 100"),
     ])
     def test_input_error_paths(self, capsys, tmp_path, g3_path, case, expected):
         edges_dict = tmp_path / "edges_dict.json"
@@ -330,6 +332,7 @@ class TestInputErrors:
                 "generate", "--n-plus-1", "4", "--theorem", "c32", "--max-mult", "0"],
             "generate_max_mult_huge": [
                 "generate", "--n-plus-1", "5", "--theorem", "a", "--max-mult", str(10**30)],
+            "generate_n_plus_1_huge": ["generate", "--n-plus-1", "200000", "--theorem", "a"],
         }[case]
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""

@@ -682,49 +682,21 @@ class TestSettleRule:
         assert lines < 100 * len(flows)
 
 
-class TestWeightedBudget:
-    """Under ``w_i = n+2-i`` every root weighs at least 1, so the walk keeps
-    ``left = w . residual >= 0``; this cuts branches that the supply bound
-    and the settle rule keep."""
+class TestPositiveTotal:
+    """Every type C flow carries ``y = sum(a)/2`` on positive slots, so the
+    walk cuts a branch as soon as it has placed more."""
 
     G = build_graph(5, "C", [(1, 3, "+", 1), (2, 5, "+", 2), (3, 5, "+", 3),
                              (4, 5, "-", 2), (4, 5, "+", 1)])
 
     def test_budget_cuts_inside_the_walk(self):
-        # w . a = 39; vertex 1 must send its 3 units along (1,3,+), of
-        # weight 8 each, and vertex 2's 5 units along (2,5,+) weigh 25 more,
-        # so the budget ends every branch at vertex 2; but y = 1 ends them at
-        # vertex 1 first (about 120 walk lines, with or without the budget),
-        # so the budget's own cut is checked on type A below
+        # y = 1, and vertex 1 must send its 3 units along (1,3,+), so the pin
+        # ends every branch at vertex 1: about 110 walk lines, against about
+        # 4,000 for a walk without it
         a = (3, 5, 4, 2, -12)
         assert count(self.G, a) == brute_force_count(self.G, a) == 0
         flows, lines = _walk_lines(self.G, a)
         assert flows == [] and lines < 500
-
-    @pytest.mark.parametrize("a", [(0, 0, 0, 0, -1), (0, 0, 0, 1, -3)])
-    def test_negative_budget_ends_the_walk_before_set_up(self, a):
-        # w . a = -1: the walk returns before its per-slot set-up (7 lines
-        # against over 110)
-        flows, lines = _walk_lines(self.G, a)
-        assert flows == [] and lines < 20
-
-    def test_budget_cuts_a_type_a_walk(self):
-        # no positive total to pin: vertex 3 needs 15 units and vertex 2
-        # holds 3, so vertex 1 must send all 12 along (1,3); w . residual
-        # goes negative once it sends fewer than 9 there, before vertex 2's
-        # 56 splits over the copies of (2,3).  About 10,400 walk lines;
-        # without either update of the budget, over 21,000
-        g = build_graph(5, "A", [(1, 3, "-", 1), (1, 4, "-", 1), (2, 3, "-", 6),
-                                 (3, 5, "-", 1), (4, 5, "-", 1)])
-        a = (12, 3, -15, 0, 0)
-        flows, lines = _walk_lines(g, a)
-        assert len(flows) == count(g, a) == math.comb(8, 5)
-        assert lines < 15000
-
-
-class TestPositiveTotal:
-    """Every type C flow carries ``y = sum(a)/2`` on positive slots, so the
-    walk cuts a branch as soon as it has placed more."""
 
     def test_zero_total_without_flows(self):
         # y = 0: no positive slot may take a unit; about 140 walk lines,
@@ -767,6 +739,9 @@ class TestOracleAgreement:
                                          for j in range(i + 1, 5)])
         mixed = build_graph(4, "C", [(1, j, s, 1) for j in (2, 3, 4) for s in "-+"]
                             + [(2, 3, "-", 1), (2, 4, "-", 1), (3, 4, "-", 1)])
+        type_a_split = (build_graph(5, "A", [(1, 3, "-", 1), (1, 4, "-", 1), (2, 3, "-", 6),
+                                             (3, 5, "-", 1), (4, 5, "-", 1)]),
+                        (12, 3, -15, 0, 0))
         extreme = [
             # loops drain the whole supply
             (build_graph(2, "C", [(1, 1, "+", 2), (1, 2, "-", 1)]), (6, 0)),
@@ -808,11 +783,19 @@ class TestOracleAgreement:
             (build_graph(4, "C", [(1, 2, "-", 1), (1, 2, "+", 3), (1, 3, "-", 1),
                                   (2, 3, "-", 2), (2, 3, "+", 1), (2, 4, "-", 1),
                                   (3, 4, "-", 1)]), (5, 1, 0, 0)),
+            # vertex 3 needs 15 units and vertex 2 holds 3, so vertex 1 sends
+            # all 12 along (1,3) and vertex 2 splits its 3 over the six
+            # copies of (2,3): comb(8, 5) flows
+            type_a_split,
         ]
         for g, a in extreme:
             expected = brute_force_count(g, a)
             assert count(g, a) == expected, (g, a)
             assert len(enumerate_flows(g, a)) == expected, (g, a)
+        g, a = type_a_split
+        flows = enumerate_flows(g, a)
+        assert len(flows) == math.comb(8, 5)
+        assert all(check_flow(g, f, a) for f in flows)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)

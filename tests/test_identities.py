@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -81,6 +82,35 @@ class TestVerifyTypeA:
         for g, a in identity_corpus(Theorem.TYPE_A, 40, seed0=100):
             rep = verify_identity_a(g, a)
             assert rep.skipped or rep.verdict, (g, a, rep)
+
+    def test_identity_on_a_whole_chamber(self):
+        """The identity at every netflow with ``a_1..a_n >= 0``, from a grid.
+
+        When every vertex 1..n has an out-edge, the Lidskii form of
+        Baldoni and Vergne writes ``K_G`` on that chamber as a polynomial of
+        total degree at most ``m - n`` (m edge copies), and ``K_{G-e}``, with
+        one copy fewer, as one of degree at most ``m - n - 1``.  So the
+        identity's cross-multiplied difference, whose factor beside
+        ``K_{G-e}`` is linear in a, has total degree at most ``d = m - n``.
+        Such a polynomial that vanishes on the grid ``{a_1..a_n >= 0,
+        a_1 + ... + a_n <= d}`` is zero (Chung and Yao, SIAM J. Numer. Anal.
+        1977), so the verdicts below settle the whole chamber."""
+        graphs = points = 0
+        for n_plus_1 in (4, 5):
+            for seed in range(12):
+                g = generate_bv_family(n_plus_1, Theorem.TYPE_A, 2, seed)
+                n = g.n
+                if {i for i, _, _, _ in g.edges} != set(range(1, n + 1)):
+                    continue
+                graphs += 1
+                d = g.num_edges - n
+                for head in itertools.product(range(d + 1), repeat=n):
+                    if sum(head) <= d:
+                        a = head + (-sum(head),)
+                        rep = verify_identity_a(g, a)
+                        assert not rep.skipped and rep.verdict is True, (g, a, rep)
+                        points += 1
+        assert (graphs, points) == (23, 4603)
 
     def test_deterministic_and_order_independent(self, k4):
         r1 = verify_identity_a(k4, (3, 1, 0, -4))

@@ -24,8 +24,20 @@ mutant (three times the module's unmutated run, plus 10 s) and a 1 GiB
 address-space limit, since a mutant can make the DP range over a huge
 supply.  A mutant is killed when pytest fails, survives when it passes, and
 times out otherwise; each one is printed with its verdict and code, then a
-table per function.  The checkout is only read.  Standard library only; not
-collected by pytest.
+table per function.
+
+Every survivor and every timeout must be explained in the ledger
+``tools/mutants_ledger.txt``, one line each::
+
+    MODULE.FUNCTION | VERDICT | MUTATION | SOURCE LINE | REASON
+
+where VERDICT is ``survived`` or ``timeout`` and MUTATION and SOURCE LINE
+are printed as the run prints them (the source line, not its number, which
+moves).  Lines starting with ``#`` and blank lines are skipped.  The tool
+exits 0 only when, for the functions it ran, every survivor and timeout has
+a ledger line and every ledger line still occurs; otherwise it lists the
+unexplained and the stale ones and exits 1.  The checkout is only read.
+Standard library only; not collected by pytest.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +71,23 @@ FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
 STRICT = {ast.LtE: ast.Lt, ast.GtE: ast.Gt}
 MEMORY = 1 << 30  # bytes of address space per test process
+LEDGER = ROOT / "tools" / "mutants_ledger.txt"
+
+
+def _ledger() -> Counter[tuple[str, str, str, str]]:
+    """The ledger's (function, verdict, mutation, source line) keys; the
+    source line may hold ``|`` but the reason after it does not."""
+    keys: Counter[tuple[str, str, str, str]] = Counter()
+    for number, line in enumerate(LEDGER.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        label, verdict, mutation, rest = line.split(" | ", 3)
+        source, sep, reason = rest.rpartition(" | ")
+        if not sep or verdict not in ("survived", "timeout") or not reason.strip():
+            raise SystemExit(f"{LEDGER.name}:{number}: expected "
+                             "MODULE.FUNCTION | VERDICT | MUTATION | SOURCE LINE | REASON")
+        keys[label, verdict, mutation, source] += 1
+    return keys
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -146,8 +176,9 @@ def main(argv: list[str]) -> int:
         if module not in TESTS or not name:
             raise SystemExit(f"{target}: expected MODULE.FUNCTION, MODULE one of {sorted(TESTS)}")
         by_module.setdefault(module, []).append(name)
+    ledger = _ledger()
     tally: dict[str, dict[str, int]] = {}
-    survivors = []
+    found: Counter[tuple[str, str, str, str]] = Counter()
     with tempfile.TemporaryDirectory(prefix="kpflows-mutants-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
@@ -183,10 +214,10 @@ def main(argv: list[str]) -> int:
                     old, new = next((a, b) for a, b in zip(base_lines, code.splitlines())
                                     if a != b)
                     shown = (old if site[1] in ("delete", "guard") else new).strip()
-                    where = f"{label}:{site[3]} {site[4]}: {shown}"
-                    print(f"{verdict:8} {where} ({seconds:.1f} s)", flush=True)
-                    if verdict == "survived":
-                        survivors.append(where)
+                    print(f"{verdict:8} {label}:{site[3]} {site[4]}: {shown} ({seconds:.1f} s)",
+                          flush=True)
+                    if verdict != "killed":
+                        found[label, verdict, site[4], shown] += 1
             target.write_text(baseline)
     print()
     width = max(len(label) for label in tally)
@@ -194,9 +225,12 @@ def main(argv: list[str]) -> int:
     for label, t in tally.items():
         print(f"{label:{width}} {sum(t.values()):7} {t['killed']:7} {t['survived']:8} "
               f"{t['timeout']:7}")
-    for s in survivors:
-        print("survived:", s)
-    return 1 if survivors else 0
+    unexplained = found - ledger
+    stale = Counter({k: n for k, n in (ledger - found).items() if k[0] in tally})
+    for what, keys in (("unexplained", unexplained), ("stale", stale)):
+        for key in sorted(keys.elements()):
+            print(f"{what}: {' | '.join(key)}")
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":
