@@ -699,8 +699,8 @@ class TestPositiveTotal:
         assert flows == [] and lines < 500
 
     def test_zero_total_without_flows(self):
-        # y = 0: no positive slot may take a unit; about 140 walk lines,
-        # where a walk that places positive flow first runs 979
+        # y = 0: no positive slot may take a unit; about 120 walk lines,
+        # where a walk that places positive flow first runs 1,037
         g = build_graph(4, "C", [(1, 3, "+", 2), (1, 4, "+", 1), (2, 3, "-", 2),
                                  (3, 4, "-", 1)])
         a = (1, 3, 2, -6)
@@ -708,7 +708,7 @@ class TestPositiveTotal:
         assert flows == [] and lines < 400
 
     def test_flows_with_loops_and_positive_edges(self):
-        # y = 0 with 4 flows: about 1,460 walk lines, against 3,320 unpinned
+        # y = 0 with 4 flows: about 1,120 walk lines, against 6,644 unpinned
         g = build_graph(4, "C", [
             (1, 2, "-", 1), (1, 2, "+", 1), (1, 4, "-", 1), (1, 4, "+", 2), (2, 3, "+", 1),
             (2, 4, "-", 1), (3, 4, "-", 1), (4, 4, "+", 2),
